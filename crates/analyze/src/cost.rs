@@ -64,7 +64,7 @@ pub fn shape_shares_work(schema: &Schema, shape: &Nnf) -> bool {
         Nnf::Eq(PathOrId::Path(_), _) => true,
         Nnf::And(items) | Nnf::Or(items) => items.iter().any(|i| shape_shares_work(schema, i)),
         Nnf::HasShape(name) | Nnf::NotHasShape(name) => {
-            shape_shares_work(schema, &Nnf::from_shape(&schema.def(name)))
+            shape_shares_work(schema, schema.def_nnf(name))
         }
         _ => false,
     }
@@ -105,13 +105,13 @@ fn max_path_class(schema: &Schema, shape: &Nnf) -> Option<PathClass> {
     let bump = |c: PathClass, best: &mut Option<PathClass>| {
         *best = Some(best.map_or(c, |b: PathClass| b.max(c)));
     };
-    let mut stack: Vec<Nnf> = vec![shape.clone()];
-    let mut seen_defs: Vec<Term> = Vec::new();
+    let mut stack: Vec<&Nnf> = vec![shape];
+    let mut seen_defs: Vec<&Term> = Vec::new();
     while let Some(node) = stack.pop() {
-        match &node {
+        match node {
             Nnf::Geq(_, e, inner) | Nnf::Leq(_, e, inner) | Nnf::ForAll(e, inner) => {
                 bump(path_class(e), &mut best);
-                stack.push((**inner).clone());
+                stack.push(inner);
             }
             Nnf::UniqueLang(e) | Nnf::NotUniqueLang(e) => bump(path_class(e), &mut best),
             Nnf::Eq(PathOrId::Path(e), _)
@@ -126,11 +126,11 @@ fn max_path_class(schema: &Schema, shape: &Nnf) -> Option<PathClass> {
             | Nnf::NotMoreThan(e, _)
             | Nnf::MoreThanEq(e, _)
             | Nnf::NotMoreThanEq(e, _) => bump(path_class(e), &mut best),
-            Nnf::And(items) | Nnf::Or(items) => stack.extend(items.iter().cloned()),
+            Nnf::And(items) | Nnf::Or(items) => stack.extend(items),
             // Schemas are acyclic, but avoid re-walking shared refs.
-            Nnf::HasShape(name) | Nnf::NotHasShape(name) if !seen_defs.contains(name) => {
-                seen_defs.push(name.clone());
-                stack.push(Nnf::from_shape(&schema.def(name)));
+            Nnf::HasShape(name) | Nnf::NotHasShape(name) if !seen_defs.contains(&name) => {
+                seen_defs.push(name);
+                stack.push(schema.def_nnf(name));
             }
             _ => {}
         }

@@ -18,7 +18,7 @@
 //! order. Fragments are id-triple *sets*, so their union is order-free by
 //! construction.
 //!
-//! Sharing: all workers validate against one lock-striped
+//! Sharing: all workers validate against one lock-free dense
 //! [`ConformanceMemo`], so a `hasShape` sub-shape referenced from units on
 //! different workers is still decided at most once per (shape, node) —
 //! modulo benign races where two workers decide the same pair

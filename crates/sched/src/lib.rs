@@ -12,9 +12,9 @@
 //! therefore launch first and cheap ones backfill idle workers, which keeps
 //! the makespan close to the critical path without any dynamic profiling.
 //!
-//! Threads come from `std::thread::scope` via the vendored `crossbeam`
-//! shim; locks come from the vendored `parking_lot` shim (non-poisoning, so
-//! a panicking unit cannot wedge its siblings' queues). With `threads <= 1`
+//! Threads come from `std::thread::scope`; locks come from the vendored
+//! `parking_lot` shim (non-poisoning, so a panicking unit cannot wedge its
+//! siblings' queues). With `threads <= 1`
 //! (or a single unit) the scheduler degenerates to an inline loop with no
 //! spawns and no locks, so the single-threaded overhead over a plain
 //! `for` loop is a sort.
@@ -227,16 +227,15 @@ where
         (finish(me, state), stats)
     };
 
-    let per_worker: Vec<(R, WorkerStats)> = crossbeam::thread::scope(|scope| {
+    let per_worker: Vec<(R, WorkerStats)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
-            .map(|me| scope.spawn(move |_| worker_loop(me)))
+            .map(|me| scope.spawn(move || worker_loop(me)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("scheduler worker panicked"))
             .collect()
-    })
-    .expect("scheduler scope failed");
+    });
 
     let mut stats = RunStats {
         threads,

@@ -10,7 +10,13 @@ use std::fmt;
 
 use shapefrag_rdf::Term;
 
+use crate::nnf::Nnf;
 use crate::shape::Shape;
+
+/// `def(s, H)` of an undefined name, and its NNF and negated NNF.
+static TOP: Shape = Shape::True;
+static NNF_TOP: Nnf = Nnf::True;
+static NNF_BOTTOM: Nnf = Nnf::False;
 
 /// A shape definition `(s, φ, τ)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,6 +78,10 @@ pub struct Schema {
     /// Dense ids for defined shape names in definition (name) order; used
     /// as compact memo keys by the batch validator.
     name_ids: HashMap<Term, u32>,
+    /// NNF of each definition's shape and of its negation, indexed by
+    /// name id: computed once here so every `hasShape` dereference of the
+    /// provenance collectors borrows them.
+    nnfs: Vec<(Nnf, Nnf)>,
 }
 
 impl Schema {
@@ -95,13 +105,19 @@ impl Schema {
             .enumerate()
             .map(|(i, name)| (name.clone(), i as u32))
             .collect();
-        let schema = Schema {
+        let mut schema = Schema {
             defs: map,
             name_ids,
+            nnfs: Vec::new(),
         };
         if let Some(name) = schema.find_cycle() {
             return Err(SchemaError::Recursive(name));
         }
+        schema.nnfs = schema
+            .defs
+            .values()
+            .map(|d| (Nnf::from_shape(&d.shape), Nnf::from_negated_shape(&d.shape)))
+            .collect();
         Ok(schema)
     }
 
@@ -113,11 +129,20 @@ impl Schema {
 
     /// `def(s, H)`: the shape expression defining `s`, or ⊤ if `s` has no
     /// definition (the behavior in real SHACL).
-    pub fn def(&self, name: &Term) -> Shape {
-        self.defs
-            .get(name)
-            .map(|d| d.shape.clone())
-            .unwrap_or(Shape::True)
+    pub fn def(&self, name: &Term) -> &Shape {
+        self.defs.get(name).map_or(&TOP, |d| &d.shape)
+    }
+
+    /// `def(s, H)` in NNF (⊤ for undefined names).
+    pub fn def_nnf(&self, name: &Term) -> &Nnf {
+        self.name_id(name)
+            .map_or(&NNF_TOP, |i| &self.nnfs[i as usize].0)
+    }
+
+    /// `¬def(s, H)` in NNF (⊥ for undefined names).
+    pub fn def_nnf_negated(&self, name: &Term) -> &Nnf {
+        self.name_id(name)
+            .map_or(&NNF_BOTTOM, |i| &self.nnfs[i as usize].1)
     }
 
     /// Looks up the full definition for a name.
@@ -250,7 +275,21 @@ mod tests {
     #[test]
     fn undefined_reference_defaults_to_top() {
         let schema = Schema::empty();
-        assert_eq!(schema.def(&name("Missing")), Shape::True);
+        assert_eq!(schema.def(&name("Missing")), &Shape::True);
+        assert_eq!(schema.def_nnf(&name("Missing")), &Nnf::True);
+        assert_eq!(schema.def_nnf_negated(&name("Missing")), &Nnf::False);
+    }
+
+    #[test]
+    fn definition_nnfs_are_precomputed() {
+        let body = Shape::geq(2, p("a"), Shape::True).not();
+        let schema = Schema::new([ShapeDef::new(name("S"), body.clone(), Shape::False)]).unwrap();
+        assert_eq!(schema.def(&name("S")), &body);
+        assert_eq!(schema.def_nnf(&name("S")), &Nnf::from_shape(&body));
+        assert_eq!(
+            schema.def_nnf_negated(&name("S")),
+            &Nnf::from_negated_shape(&body)
+        );
     }
 
     #[test]
@@ -287,7 +326,7 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(schema.len(), 3);
-        assert_eq!(schema.transitive_refs(&schema.def(&name("U"))).len(), 2);
+        assert_eq!(schema.transitive_refs(schema.def(&name("U"))).len(), 2);
     }
 
     #[test]
@@ -298,7 +337,7 @@ mod tests {
             Shape::False,
         )])
         .unwrap();
-        assert_eq!(schema.def(&name("Missing")), Shape::True);
+        assert_eq!(schema.def(&name("Missing")), &Shape::True);
     }
 
     #[test]

@@ -6,15 +6,15 @@
 //! style of a SHACL engine — this is the "mere validation" baseline of the
 //! overhead experiment (§5.3.1).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 use shapefrag_govern::{EngineError, ExecCtx};
 use shapefrag_rdf::graph::IntMap;
-use shapefrag_rdf::{Graph, GraphAccess, Term, TermId};
+use shapefrag_rdf::{Graph, GraphAccess, Iri, Term, TermId};
 
 use crate::nnf::Nnf;
 use crate::path::PathExpr;
@@ -22,23 +22,22 @@ use crate::rpq::PathCache;
 use crate::schema::Schema;
 use crate::shape::{PathOrId, Shape};
 
-/// Number of lock stripes in a [`ConformanceMemo`]. Power of two so the
-/// shard index is a cheap high-bit extract of the mixed key hash; 64
-/// stripes keep the collision probability of two of ≤16 workers wanting
-/// the same stripe low without bloating the struct.
-const MEMO_SHARDS: usize = 64;
-
-/// One lock stripe: decided conformance facts keyed by
-/// `(shape index, node)`.
-type MemoShard = RwLock<HashMap<(u32, TermId), bool>>;
+/// A memo entry is two bits: bit 0 marks a decided fact and bit 1 holds
+/// its value, so `00` is undecided, `01` is false and `11` is true.
+const DECIDED: u64 = 0b01;
+const DECIDED_TRUE: u64 = 0b11;
+/// Bit 0 of all 32 entries of a word, for counting decided entries.
+const DECIDED_MASK: u64 = 0x5555_5555_5555_5555;
+/// Entries per `AtomicU64` word.
+const NODES_PER_WORD: usize = 32;
 
 /// A shared table of decided `(shape name, node)` conformance facts.
 ///
 /// Conformance of a node to a *named* shape is a pure function of the graph
 /// and schema, so once decided it can be reused by every referencing target
-/// — and by every worker thread. The table is split into [`MEMO_SHARDS`]
-/// lock stripes keyed by a hash of `(shape, node)`, so concurrent workers
-/// contend only when they touch the same stripe at the same instant. A memo
+/// — and by every worker thread. Facts live in dense per-shape tables of
+/// 2-bit entries indexed by [`TermId`], read and written with relaxed
+/// atomics: no hashing and no lock on a lookup or an insert. A memo
 /// is valid for exactly one `(graph, schema)` pair; the first
 /// [`Context::with_memo`] binds the memo to a cheap fingerprint of that
 /// pair, and a later mismatch panics in debug builds and detaches the memo
@@ -48,7 +47,12 @@ type MemoShard = RwLock<HashMap<(u32, TermId), bool>>;
 /// impacted entries ([`ConformanceMemo::invalidate`]) and then re-binds to
 /// the new fingerprint ([`ConformanceMemo::rebind`]).
 pub struct ConformanceMemo {
-    shards: Box<[MemoShard]>,
+    /// The current tables, sized from the bound schema and graph. Binding,
+    /// [`ConformanceMemo::rebind`] and an out-of-range
+    /// [`ConformanceMemo::insert`] replace them with a grown copy, and
+    /// [`ConformanceMemo::clear`] with empty ones; a [`Context`] keeps the
+    /// tables current at its creation.
+    tables: RwLock<Arc<MemoTables>>,
     /// Fingerprint of the `(schema, graph)` pair this memo is bound to;
     /// `None` until the first attachment (or after [`ConformanceMemo::clear`]).
     binding: RwLock<Option<(u64, u64)>>,
@@ -56,10 +60,133 @@ pub struct ConformanceMemo {
     /// for one shape can settle related shapes without re-evaluation. See
     /// [`ConformanceMemo::attach_containment`].
     containment: RwLock<Option<Arc<ContainmentIndex>>>,
+    /// Whether `containment` holds an index, so a miss without one takes
+    /// no lock. `Relaxed` suffices: the lock publishes the index itself,
+    /// and a stale `false` only skips one optional derivation.
+    indexed: AtomicBool,
     /// Lookups answered through a containment edge rather than a direct bit.
     containment_hits: AtomicU64,
     /// Lookups where the index was attached but no related bit applied.
     containment_misses: AtomicU64,
+}
+
+/// Dense conformance tables: per shape id, one 2-bit entry per node id in
+/// `0..nodes`, 32 entries to an `AtomicU64`. A shape's table is allocated
+/// on its first insert. A `(shape, node)` pair outside the bounds has no
+/// entry and is simply not memoized, which is sound for a cache. Entries
+/// use `Relaxed` atomics: an entry is the whole fact and publishes no
+/// other data (the `OnceLock` publishes a table's allocation).
+struct MemoTables {
+    nodes: usize,
+    shapes: Box<[OnceLock<Box<[AtomicU64]>>]>,
+}
+
+fn zeroed_words(words: usize) -> Box<[AtomicU64]> {
+    (0..words).map(|_| AtomicU64::new(0)).collect()
+}
+
+impl MemoTables {
+    fn new(shapes: usize, nodes: usize) -> MemoTables {
+        MemoTables {
+            nodes,
+            shapes: (0..shapes).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The word holding the `(shape, node)` entry and the entry's bit
+    /// offset in it, allocating the shape's table when `alloc` is set;
+    /// `None` outside the bounds (or for an unallocated table).
+    fn entry(&self, shape: u32, node: TermId, alloc: bool) -> Option<(&AtomicU64, u32)> {
+        let slot = self.shapes.get(shape as usize)?;
+        let n = node.0 as usize;
+        if n >= self.nodes {
+            return None;
+        }
+        let table = if alloc {
+            slot.get_or_init(|| zeroed_words(self.nodes.div_ceil(NODES_PER_WORD)))
+        } else {
+            slot.get()?
+        };
+        Some((&table[n / NODES_PER_WORD], 2 * (n % NODES_PER_WORD) as u32))
+    }
+
+    fn get(&self, shape: u32, node: TermId) -> Option<bool> {
+        let (word, shift) = self.entry(shape, node, false)?;
+        let code = (word.load(Ordering::Relaxed) >> shift) & DECIDED_TRUE;
+        (code & DECIDED != 0).then_some(code == DECIDED_TRUE)
+    }
+
+    /// Records a fact; `false` when the pair lies outside the bounds.
+    fn set(&self, shape: u32, node: TermId, value: bool) -> bool {
+        let Some((word, shift)) = self.entry(shape, node, true) else {
+            return false;
+        };
+        let mask = DECIDED_TRUE << shift;
+        let code = if value { DECIDED_TRUE } else { DECIDED } << shift;
+        // Compare-and-swap, so writers of neighbouring entries of one word
+        // never lose each other's bits.
+        let _ = word.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |w| {
+            (w & mask != code).then_some(w & !mask | code)
+        });
+        true
+    }
+
+    fn unset(&self, shape: u32, node: TermId) {
+        if let Some((word, shift)) = self.entry(shape, node, false) {
+            word.fetch_and(!(DECIDED_TRUE << shift), Ordering::Relaxed);
+        }
+    }
+
+    fn unset_shape(&self, shape: u32) {
+        if let Some(table) = self.shapes.get(shape as usize).and_then(OnceLock::get) {
+            for word in table.iter() {
+                word.store(0, Ordering::Relaxed);
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.shapes
+            .iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|table| table.iter())
+            .map(|word| (word.load(Ordering::Relaxed) & DECIDED_MASK).count_ones() as usize)
+            .sum()
+    }
+
+    /// A copy with room for at least `shapes` × `nodes` entries.
+    fn grown(&self, shapes: usize, nodes: usize) -> MemoTables {
+        let out = MemoTables::new(shapes.max(self.shapes.len()), nodes.max(self.nodes));
+        let words = out.nodes.div_ceil(NODES_PER_WORD);
+        for (slot, old) in out.shapes.iter().zip(self.shapes.iter()) {
+            if let Some(old) = old.get() {
+                let load = |i: usize| old.get(i).map_or(0, |w| w.load(Ordering::Relaxed));
+                let _ = slot.set((0..words).map(|i| AtomicU64::new(load(i))).collect());
+            }
+        }
+        out
+    }
+
+    /// Subsumption derivation: a `true` bit of any shape contained in
+    /// `shape` proves `true`, and a `false` bit of any shape containing
+    /// `shape` proves `false`.
+    fn derive(&self, index: &ContainmentIndex, shape: u32, node: TermId) -> Option<bool> {
+        if index
+            .subs_of(shape)
+            .iter()
+            .any(|&sub| self.get(sub, node) == Some(true))
+        {
+            Some(true)
+        } else if index
+            .supers_of(shape)
+            .iter()
+            .any(|&sup| self.get(sup, node) == Some(false))
+        {
+            Some(false)
+        } else {
+            None
+        }
+    }
 }
 
 /// Adjacency form of a schema's proven containment relation, consumed by
@@ -163,11 +290,10 @@ impl ConformanceMemo {
     /// Creates an empty memo (for one graph + schema pair).
     pub fn new() -> Self {
         ConformanceMemo {
-            shards: (0..MEMO_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
+            tables: RwLock::new(Arc::new(MemoTables::new(0, 0))),
             binding: RwLock::new(None),
             containment: RwLock::new(None),
+            indexed: AtomicBool::new(false),
             containment_hits: AtomicU64::new(0),
             containment_misses: AtomicU64::new(0),
         }
@@ -184,12 +310,25 @@ impl ConformanceMemo {
             }
         }
         *self.containment.write() = Some(index);
+        self.indexed.store(true, Ordering::Relaxed);
         true
     }
 
     /// The attached containment index, if any.
     pub fn containment(&self) -> Option<Arc<ContainmentIndex>> {
+        if !self.indexed.load(Ordering::Relaxed) {
+            return None;
+        }
         self.containment.read().clone()
+    }
+
+    /// Drops an attached index proven over a schema other than `schema_fp`.
+    fn drop_foreign_index(&self, schema_fp: u64) {
+        let mut idx = self.containment.write();
+        if idx.as_ref().is_some_and(|i| i.schema_fp != schema_fp) {
+            *idx = None;
+            self.indexed.store(false, Ordering::Relaxed);
+        }
     }
 
     /// `(derived answers, derivation attempts that found nothing)` since
@@ -201,21 +340,26 @@ impl ConformanceMemo {
         )
     }
 
-    /// Stripe index for a `(shape, node)` key: multiplicative (Fibonacci)
-    /// hashing of the packed key, taking the top bits.
-    fn shard_index(shape: u32, node: TermId) -> usize {
-        let key = ((shape as u64) << 32) | node.0 as u64;
-        let mixed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (mixed >> (64 - MEMO_SHARDS.trailing_zeros())) as usize
-    }
-
-    fn shard(&self, shape: u32, node: TermId) -> &RwLock<HashMap<(u32, TermId), bool>> {
-        &self.shards[Self::shard_index(shape, node)]
+    /// Grows the tables to hold `shapes` × `nodes` entries. Growing a
+    /// non-empty node range adds a quarter of headroom, so a graph that
+    /// interns a few terms per edit batch does not copy the tables on
+    /// every rebind.
+    fn reserve(&self, shapes: usize, nodes: usize) {
+        let mut tables = self.tables.write();
+        if shapes <= tables.shapes.len() && nodes <= tables.nodes {
+            return;
+        }
+        let nodes = if nodes <= tables.nodes || tables.nodes == 0 {
+            nodes
+        } else {
+            nodes.max(tables.nodes + tables.nodes / 4)
+        };
+        *tables = Arc::new(tables.grown(shapes, nodes));
     }
 
     /// Looks up a decided fact.
     pub fn lookup(&self, shape: u32, node: TermId) -> Option<bool> {
-        self.shard(shape, node).read().get(&(shape, node)).copied()
+        self.tables.read().get(shape, node)
     }
 
     /// [`ConformanceMemo::lookup`] extended with subsumption derivation:
@@ -225,54 +369,64 @@ impl ConformanceMemo {
     /// bits (they are genuine conformance facts) and counted in
     /// [`ConformanceMemo::containment_counters`].
     pub fn lookup_or_derive(&self, shape: u32, node: TermId) -> Option<bool> {
-        if let Some(v) = self.lookup(shape, node) {
+        self.lookup_or_derive_in(&self.tables.read(), shape, node)
+    }
+
+    fn lookup_or_derive_in(&self, tables: &MemoTables, shape: u32, node: TermId) -> Option<bool> {
+        if let Some(v) = tables.get(shape, node) {
             return Some(v);
         }
-        let index = self.containment.read().clone()?;
-        let derived = index
-            .subs_of(shape)
-            .iter()
-            .find(|&&sub| self.lookup(sub, node) == Some(true))
-            .map(|_| true)
-            .or_else(|| {
-                index
-                    .supers_of(shape)
-                    .iter()
-                    .find(|&&sup| self.lookup(sup, node) == Some(false))
-                    .map(|_| false)
-            });
+        let index = self.containment()?;
+        self.derive_in(tables, &index, shape, node)
+    }
+
+    /// Derives an undecided pair through `index`, writing a derived bit
+    /// back and counting the attempt as a hit or a miss.
+    fn derive_in(
+        &self,
+        tables: &MemoTables,
+        index: &ContainmentIndex,
+        shape: u32,
+        node: TermId,
+    ) -> Option<bool> {
+        let derived = tables.derive(index, shape, node);
         match derived {
             Some(v) => {
                 self.containment_hits.fetch_add(1, Ordering::Relaxed);
-                self.insert(shape, node, v);
-                Some(v)
+                tables.set(shape, node, v);
             }
             None => {
                 self.containment_misses.fetch_add(1, Ordering::Relaxed);
-                None
             }
         }
+        derived
     }
 
-    /// Records a decided fact.
+    /// Records a decided fact, growing the tables when the pair lies
+    /// outside them. (Inside a [`Context`], a pair outside the context's
+    /// tables is simply not memoized.)
     pub fn insert(&self, shape: u32, node: TermId, value: bool) {
-        self.shard(shape, node).write().insert((shape, node), value);
+        if !self.tables.read().set(shape, node, value) {
+            self.reserve(shape as usize + 1, node.0 as usize + 1);
+            self.tables.read().set(shape, node, value);
+        }
     }
 
     /// Number of decided facts.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.tables.read().len()
     }
 
     /// True iff nothing has been decided yet.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
+        self.len() == 0
     }
 
-    /// Binds the memo to a `(schema, graph)` fingerprint on first use;
-    /// returns `false` when the memo is already bound to a *different*
-    /// pair (the caller must then run unmemoized).
-    fn bind_or_check(&self, fingerprint: (u64, u64)) -> bool {
+    /// Binds the memo to the `(schema, graph)` pair on first use, sizing
+    /// its tables; returns `false` when the memo is already bound to a
+    /// *different* pair (the caller must then run unmemoized).
+    fn bind_or_check<G: GraphAccess>(&self, schema: &Schema, graph: &G) -> bool {
+        let fingerprint = memo_fingerprint(schema, graph);
         if let Some(bound) = *self.binding.read() {
             return bound == fingerprint;
         }
@@ -283,10 +437,8 @@ impl ConformanceMemo {
                 *slot = Some(fingerprint);
                 // An index attached before the first binding was taken on
                 // trust; now that the schema is known, drop a mismatch.
-                let mut idx = self.containment.write();
-                if idx.as_ref().is_some_and(|i| i.schema_fp != fingerprint.0) {
-                    *idx = None;
-                }
+                self.drop_foreign_index(fingerprint.0);
+                self.reserve(schema.len(), graph.term_count());
                 true
             }
         }
@@ -294,11 +446,12 @@ impl ConformanceMemo {
 
     /// Drops the decided facts of `shape` at exactly `nodes`, leaving every
     /// other `(shape, node)` entry in place. This is the incremental
-    /// engine's stripe-selective invalidation: after an edit batch, only
+    /// engine's selective invalidation: after an edit batch, only
     /// impact-routed pairs are dropped and everything else is reused.
     pub fn invalidate(&self, shape: u32, nodes: impl IntoIterator<Item = TermId>) {
+        let tables = self.tables.read();
         for node in nodes {
-            self.shard(shape, node).write().remove(&(shape, node));
+            tables.unset(shape, node);
         }
     }
 
@@ -306,12 +459,11 @@ impl ConformanceMemo {
     /// incremental engine falls back to this when a shape's impact profile
     /// is a wildcard with unbounded depth (any edit may flip any focus).
     pub fn invalidate_shape(&self, shape: u32) {
-        for shard in self.shards.iter() {
-            shard.write().retain(|key, _| key.0 != shape);
-        }
+        self.tables.read().unset_shape(shape);
     }
 
-    /// Re-binds the memo to a new `(schema, graph)` pair. Sound only when
+    /// Re-binds the memo to a new `(schema, graph)` pair, growing the
+    /// tables to cover terms the new graph interned. Sound only when
     /// the caller has already invalidated every entry whose truth value may
     /// differ between the old and new graph (and the id space is shared,
     /// as it is along a delta/compaction lineage).
@@ -320,10 +472,8 @@ impl ConformanceMemo {
         *self.binding.write() = Some(fingerprint);
         // A containment index proven over a different schema must not
         // survive the rebind.
-        let mut idx = self.containment.write();
-        if idx.as_ref().is_some_and(|i| i.schema_fp != fingerprint.0) {
-            *idx = None;
-        }
+        self.drop_foreign_index(fingerprint.0);
+        self.reserve(schema.len(), graph.term_count());
     }
 
     /// Forgets every decided fact *and* the binding, returning the memo to
@@ -331,11 +481,10 @@ impl ConformanceMemo {
     /// this on a mid-batch fault: the memo is either untouched or fully
     /// cleared, never half-invalidated.
     pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            shard.write().clear();
-        }
+        *self.tables.write() = Arc::new(MemoTables::new(0, 0));
         *self.binding.write() = None;
         *self.containment.write() = None;
+        self.indexed.store(false, Ordering::Relaxed);
         self.containment_hits.store(0, Ordering::Relaxed);
         self.containment_misses.store(0, Ordering::Relaxed);
     }
@@ -385,11 +534,18 @@ pub struct Context<'a, G: GraphAccess = Graph> {
     pub graph: &'a G,
     paths: PathCache,
     /// Shared `hasShape` decisions; `None` disables memoization.
-    memo: Option<Arc<ConformanceMemo>>,
+    memo: Option<MemoView>,
     /// Resource governor; unbounded by default.
     exec: ExecCtx,
     /// First resource fault observed (sticky until [`Context::take_fault`]).
     fault: Option<EngineError>,
+}
+
+/// A context's handle on a shared memo: the memo and the tables that were
+/// current when the context was created, read and written without locks.
+struct MemoView {
+    memo: Arc<ConformanceMemo>,
+    tables: Arc<MemoTables>,
 }
 
 impl<'a, G: GraphAccess> Context<'a, G> {
@@ -413,7 +569,7 @@ impl<'a, G: GraphAccess> Context<'a, G> {
     /// unmemoized (correct, just slower), so a stale memo can never leak
     /// conformance facts across snapshots.
     pub fn with_memo(schema: &'a Schema, graph: &'a G, memo: Arc<ConformanceMemo>) -> Self {
-        let attached = memo.bind_or_check(memo_fingerprint(schema, graph));
+        let attached = memo.bind_or_check(schema, graph);
         debug_assert!(
             attached,
             "ConformanceMemo reused across a different (schema, graph) pair; \
@@ -423,7 +579,10 @@ impl<'a, G: GraphAccess> Context<'a, G> {
             schema,
             graph,
             paths: PathCache::new(),
-            memo: attached.then_some(memo),
+            memo: attached.then(|| {
+                let tables = Arc::clone(&memo.tables.read());
+                MemoView { memo, tables }
+            }),
             exec: ExecCtx::unbounded(),
             fault: None,
         }
@@ -544,41 +703,14 @@ impl<'a, G: GraphAccess> Context<'a, G> {
             Shape::HasShape(name) => self.conforms_named(node, name),
             Shape::Test(t) => t.satisfied_by(self.graph.term(node)),
             Shape::HasValue(c) => self.graph.term(node) == c,
-            Shape::Eq(f, p) => {
-                let left = self.eval_path_or_id(f, node);
-                let right = self.prop_values(node, p);
-                left == right
-            }
-            Shape::Disj(f, p) => {
-                let left = self.eval_path_or_id(f, node);
-                let right = self.prop_values(node, p);
-                left.is_disjoint(&right)
-            }
-            Shape::Closed(allowed) => {
-                let preds: Vec<TermId> = self.graph.predicates_out_ids(node).collect();
-                preds.into_iter().all(
-                    |pid| matches!(self.graph.term(pid), Term::Iri(iri) if allowed.contains(iri)),
-                )
-            }
+            Shape::Eq(f, p) => self.eq_holds(node, f, p),
+            Shape::Disj(f, p) => self.disj_holds(node, f, p),
+            Shape::Closed(allowed) => self.closed_holds(node, allowed),
             Shape::LessThan(e, p) => self.pairwise_cmp(e, p, node, CmpOp::Lt),
             Shape::LessThanEq(e, p) => self.pairwise_cmp(e, p, node, CmpOp::Le),
             Shape::MoreThan(e, p) => self.pairwise_cmp(e, p, node, CmpOp::Gt),
             Shape::MoreThanEq(e, p) => self.pairwise_cmp(e, p, node, CmpOp::Ge),
-            Shape::UniqueLang(e) => {
-                let values = self.eval_path(e, node);
-                let mut tags: Vec<&str> = Vec::new();
-                for v in &values {
-                    if let Term::Literal(lit) = self.graph.term(*v) {
-                        if let Some(tag) = lit.language() {
-                            if tags.contains(&tag) {
-                                return false;
-                            }
-                            tags.push(tag);
-                        }
-                    }
-                }
-                true
-            }
+            Shape::UniqueLang(e) => self.unique_lang_holds(node, e),
             Shape::Not(inner) => !self.conforms(node, inner),
             Shape::And(items) => items.iter().all(|s| self.conforms(node, s)),
             Shape::Or(items) => items.iter().any(|s| self.conforms(node, s)),
@@ -640,12 +772,12 @@ impl<'a, G: GraphAccess> Context<'a, G> {
             Nnf::NotTest(t) => !t.satisfied_by(self.graph.term(node)),
             Nnf::HasValue(c) => self.graph.term(node) == c,
             Nnf::NotHasValue(c) => self.graph.term(node) != c,
-            Nnf::Eq(f, p) => self.conforms(node, &Shape::Eq(f.clone(), p.clone())),
-            Nnf::NotEq(f, p) => !self.conforms(node, &Shape::Eq(f.clone(), p.clone())),
-            Nnf::Disj(f, p) => self.conforms(node, &Shape::Disj(f.clone(), p.clone())),
-            Nnf::NotDisj(f, p) => !self.conforms(node, &Shape::Disj(f.clone(), p.clone())),
-            Nnf::Closed(ps) => self.conforms(node, &Shape::Closed(ps.clone())),
-            Nnf::NotClosed(ps) => !self.conforms(node, &Shape::Closed(ps.clone())),
+            Nnf::Eq(f, p) => self.eq_holds(node, f, p),
+            Nnf::NotEq(f, p) => !self.eq_holds(node, f, p),
+            Nnf::Disj(f, p) => self.disj_holds(node, f, p),
+            Nnf::NotDisj(f, p) => !self.disj_holds(node, f, p),
+            Nnf::Closed(ps) => self.closed_holds(node, ps),
+            Nnf::NotClosed(ps) => !self.closed_holds(node, ps),
             Nnf::LessThan(e, p) => self.pairwise_cmp(e, p, node, CmpOp::Lt),
             Nnf::NotLessThan(e, p) => !self.pairwise_cmp(e, p, node, CmpOp::Lt),
             Nnf::LessThanEq(e, p) => self.pairwise_cmp(e, p, node, CmpOp::Le),
@@ -654,8 +786,8 @@ impl<'a, G: GraphAccess> Context<'a, G> {
             Nnf::NotMoreThan(e, p) => !self.pairwise_cmp(e, p, node, CmpOp::Gt),
             Nnf::MoreThanEq(e, p) => self.pairwise_cmp(e, p, node, CmpOp::Ge),
             Nnf::NotMoreThanEq(e, p) => !self.pairwise_cmp(e, p, node, CmpOp::Ge),
-            Nnf::UniqueLang(e) => self.conforms(node, &Shape::UniqueLang(e.clone())),
-            Nnf::NotUniqueLang(e) => !self.conforms(node, &Shape::UniqueLang(e.clone())),
+            Nnf::UniqueLang(e) => self.unique_lang_holds(node, e),
+            Nnf::NotUniqueLang(e) => !self.unique_lang_holds(node, e),
             Nnf::And(items) => items.iter().all(|s| self.conforms_nnf(node, s)),
             Nnf::Or(items) => items.iter().any(|s| self.conforms_nnf(node, s)),
             Nnf::Geq(n, e, inner) => {
@@ -695,24 +827,20 @@ impl<'a, G: GraphAccess> Context<'a, G> {
     /// is attached: each `(shape name, node)` pair is decided at most once
     /// per memo, no matter how many referencing shapes or targets ask.
     pub fn conforms_named(&mut self, node: TermId, name: &Term) -> bool {
-        let memo = self.memo.clone();
-        if let Some(memo) = memo {
-            if let Some(sid) = self.schema.name_id(name) {
-                if let Some(decided) = memo.lookup_or_derive(sid, node) {
-                    return decided;
-                }
-                let def = self.schema.def(name);
-                let value = self.conforms(node, &def);
-                // A faulted run's answers are unwinding placeholders, not
-                // decisions; keep them out of the shared memo.
-                if self.fault.is_none() {
-                    memo.insert(sid, node, value);
-                }
-                return value;
+        let schema = self.schema;
+        let sid = self.memo.as_ref().and_then(|_| schema.name_id(name));
+        if let (Some(view), Some(sid)) = (&self.memo, sid) {
+            if let Some(decided) = view.memo.lookup_or_derive_in(&view.tables, sid, node) {
+                return decided;
             }
         }
-        let def = self.schema.def(name);
-        self.conforms(node, &def)
+        let value = self.conforms(node, schema.def(name));
+        // A faulted run's answers are unwinding placeholders, not
+        // decisions; keep them out of the shared memo.
+        if let (Some(view), Some(sid), None) = (&self.memo, sid, &self.fault) {
+            view.tables.set(sid, node, value);
+        }
+        value
     }
 
     /// Set-at-a-time `⟦E⟧^G(sources[i])` through the multi-source kernel.
@@ -1003,106 +1131,94 @@ impl<'a, G: GraphAccess> Context<'a, G> {
     /// immediately; the distinct undecided nodes are evaluated in one
     /// recursive batch against the definition and recorded.
     fn conforms_all_named(&mut self, nodes: &[TermId], name: &Term) -> Vec<bool> {
-        let memo = self.memo.clone();
-        let sid = self.schema.name_id(name);
-        let (Some(memo), Some(sid)) = (memo, sid) else {
-            let def = self.schema.def(name);
-            return self.conforms_all(nodes, &def);
+        let schema = self.schema;
+        let (Some(view), Some(sid)) = (&self.memo, schema.name_id(name)) else {
+            return self.conforms_all(nodes, schema.def(name));
         };
+        let index = view.memo.containment();
         let mut out = vec![false; nodes.len()];
         let mut missing: Vec<usize> = Vec::new();
-        let index = memo.containment();
-        let mut derived: Vec<(TermId, bool)> = Vec::new();
-        {
-            // Pin every stripe for read once, then the scan is lock-free
-            // per node (readers share stripes; only writers exclude).
-            let tables: Vec<_> = memo.shards.iter().map(|s| s.read()).collect();
-            let probe = |shape: u32, node: TermId| -> Option<bool> {
-                tables[ConformanceMemo::shard_index(shape, node)]
-                    .get(&(shape, node))
-                    .copied()
-            };
-            for (i, &node) in nodes.iter().enumerate() {
-                if let Some(v) = probe(sid, node) {
-                    out[i] = v;
-                    continue;
-                }
-                // Subsumption derivation against the same pinned tables: a
-                // true bit of a contained shape, or a false bit of a
-                // containing shape, settles this pair without evaluation.
-                let from_index = index.as_ref().and_then(|idx| {
-                    idx.subs_of(sid)
-                        .iter()
-                        .find(|&&sub| probe(sub, node) == Some(true))
-                        .map(|_| true)
-                        .or_else(|| {
-                            idx.supers_of(sid)
-                                .iter()
-                                .find(|&&sup| probe(sup, node) == Some(false))
-                                .map(|_| false)
-                        })
-                });
-                match from_index {
-                    Some(v) => {
-                        out[i] = v;
-                        derived.push((node, v));
-                        memo.containment_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    None => {
-                        if index.is_some() {
-                            memo.containment_misses.fetch_add(1, Ordering::Relaxed);
-                        }
-                        missing.push(i);
-                    }
-                }
+        for (i, &node) in nodes.iter().enumerate() {
+            // A direct bit, or subsumption derivation: a true bit of a
+            // contained shape, or a false bit of a containing shape,
+            // settles this pair without evaluation.
+            let decided = view.tables.get(sid, node).or_else(|| {
+                let index = index.as_deref()?;
+                view.memo.derive_in(&view.tables, index, sid, node)
+            });
+            match decided {
+                Some(v) => out[i] = v,
+                None => missing.push(i),
             }
         }
-        // Write back derived bits only after the pinned read guards are
-        // dropped (insert takes a write lock on the same stripes).
-        for &(node, v) in &derived {
-            memo.insert(sid, node, v);
+        if missing.is_empty() {
+            return out;
         }
-        if !missing.is_empty() {
-            let mut uniq_vec: Vec<TermId> = missing.iter().map(|&i| nodes[i]).collect();
-            uniq_vec.sort_unstable();
-            uniq_vec.dedup();
-            let def = self.schema.def(name);
-            let decided = self.conforms_all(&uniq_vec, &def);
-            let map: IntMap<TermId, bool> = uniq_vec
-                .iter()
-                .copied()
-                .zip(decided.iter().copied())
-                .collect();
-            // Keep unwinding placeholders from a faulted run out of the
-            // shared memo. Inserts go stripe by stripe (uncontended CAS in
-            // the common case), not under one global lock.
-            if self.fault.is_none() {
-                for (&node, &v) in map.iter() {
-                    memo.insert(sid, node, v);
-                }
+        let mut uniq: Vec<TermId> = missing.iter().map(|&i| nodes[i]).collect();
+        uniq.sort_unstable();
+        uniq.dedup();
+        let decided = self.conforms_all(&uniq, schema.def(name));
+        // Keep unwinding placeholders from a faulted run out of the
+        // shared memo.
+        if let (Some(view), None) = (&self.memo, &self.fault) {
+            for (&node, &v) in uniq.iter().zip(&decided) {
+                view.tables.set(sid, node, v);
             }
-            for &i in &missing {
-                out[i] = map[&nodes[i]];
-            }
+        }
+        for &i in &missing {
+            let k = uniq
+                .binary_search(&nodes[i])
+                .expect("missing node was decided");
+            out[i] = decided[k];
         }
         out
     }
 
     /// `⟦p⟧^G(a)` for a plain property.
-    fn prop_values(&mut self, node: TermId, p: &shapefrag_rdf::Iri) -> BTreeSet<TermId> {
+    fn prop_values(&mut self, node: TermId, p: &Iri) -> BTreeSet<TermId> {
         match self.graph.id_of_iri(p) {
             Some(pid) => self.graph.objects_ids(node, pid).collect(),
             None => BTreeSet::new(),
         }
     }
 
-    fn pairwise_cmp(
-        &mut self,
-        e: &PathExpr,
-        p: &shapefrag_rdf::Iri,
-        node: TermId,
-        op: CmpOp,
-    ) -> bool {
+    /// `eq(F, p)`: the `F`-values and `p`-values of `node` coincide.
+    fn eq_holds(&mut self, node: TermId, f: &PathOrId, p: &Iri) -> bool {
+        let left = self.eval_path_or_id(f, node);
+        left == self.prop_values(node, p)
+    }
+
+    /// `disj(F, p)`: the `F`-values and `p`-values of `node` are disjoint.
+    fn disj_holds(&mut self, node: TermId, f: &PathOrId, p: &Iri) -> bool {
+        let left = self.eval_path_or_id(f, node);
+        left.is_disjoint(&self.prop_values(node, p))
+    }
+
+    /// `closed(P)`: every outgoing predicate of `node` is in `allowed`.
+    fn closed_holds(&self, node: TermId, allowed: &BTreeSet<Iri>) -> bool {
+        self.graph
+            .predicates_out_ids(node)
+            .all(|pid| matches!(self.graph.term(pid), Term::Iri(iri) if allowed.contains(iri)))
+    }
+
+    /// `uniqueLang(E)`: no two `E`-values of `node` share a language tag.
+    fn unique_lang_holds(&mut self, node: TermId, e: &PathExpr) -> bool {
+        let values = self.eval_path(e, node);
+        let mut tags: Vec<&str> = Vec::new();
+        for v in &values {
+            if let Term::Literal(lit) = self.graph.term(*v) {
+                if let Some(tag) = lit.language() {
+                    if tags.contains(&tag) {
+                        return false;
+                    }
+                    tags.push(tag);
+                }
+            }
+        }
+        true
+    }
+
+    fn pairwise_cmp(&mut self, e: &PathExpr, p: &Iri, node: TermId, op: CmpOp) -> bool {
         let left = self.eval_path(e, node);
         let right = self.prop_values(node, p);
         for b in &left {
@@ -2124,6 +2240,174 @@ mod tests {
         // A cleared memo re-binds to any pair.
         let g2 = Graph::from_triples([t("x", "p", "y")]);
         let _ctx2 = Context::with_memo(&schema, &g2, Arc::clone(&memo));
+    }
+
+    /// A chain `n0 -p-> n1 -p-> … -p-> n{len}`, with `len + 2` terms.
+    fn chain(len: usize) -> Graph {
+        Graph::from_triples((0..len).map(|i| t(&format!("n{i}"), "p", &format!("n{}", i + 1))))
+    }
+
+    /// Two definitions, so the memo has shape ids 0 and 1.
+    fn two_defs() -> Schema {
+        Schema::new([
+            ShapeDef::new(term("S"), Shape::geq(1, p("p"), Shape::True), Shape::True),
+            ShapeDef::new(term("T"), Shape::leq(0, p("p"), Shape::True), Shape::False),
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn dense_memo_packs_two_bits_per_node_across_a_word_boundary() {
+        let (schema, g) = (two_defs(), chain(70));
+        assert!(g.term_count() > 64, "three words per shape");
+        let memo = ConformanceMemo::new();
+        memo.rebind(&schema, &g);
+        // Entries 31 | 32 and 63 | 64 straddle word boundaries.
+        let ids = [30, 31, 32, 33, 63, 64].map(TermId);
+        for (k, &id) in ids.iter().enumerate() {
+            memo.insert(0, id, k % 2 == 0);
+        }
+        for (k, &id) in ids.iter().enumerate() {
+            assert_eq!(memo.lookup(0, id), Some(k % 2 == 0), "entry {id:?}");
+        }
+        for id in [29, 34, 62, 65].map(TermId) {
+            assert_eq!(memo.lookup(0, id), None, "neighbour {id:?} stays undecided");
+        }
+        assert_eq!(
+            memo.lookup(1, TermId(31)),
+            None,
+            "other shapes are separate"
+        );
+        // Overwriting an entry leaves its neighbours in both words alone.
+        memo.insert(0, TermId(31), true);
+        assert_eq!(memo.lookup(0, TermId(31)), Some(true));
+        assert_eq!(memo.lookup(0, TermId(30)), Some(true));
+        assert_eq!(memo.lookup(0, TermId(32)), Some(true));
+        assert_eq!(memo.len(), ids.len());
+    }
+
+    #[test]
+    fn dense_memo_invalidate_invalidate_shape_clear_and_len() {
+        let (schema, g) = (two_defs(), chain(70));
+        let memo = Arc::new(ConformanceMemo::new());
+        memo.rebind(&schema, &g);
+        for n in 0..40 {
+            memo.insert(0, TermId(n), n % 3 == 0);
+            memo.insert(1, TermId(n), true);
+        }
+        assert_eq!(memo.len(), 80);
+        memo.invalidate(0, [0, 31, 32].map(TermId));
+        assert_eq!(memo.len(), 77);
+        assert_eq!(memo.lookup(0, TermId(31)), None);
+        assert_eq!(memo.lookup(0, TermId(30)), Some(true));
+        assert_eq!(memo.lookup(0, TermId(33)), Some(true));
+        assert_eq!(memo.lookup(1, TermId(31)), Some(true));
+        memo.invalidate_shape(1);
+        assert_eq!(memo.len(), 37);
+        assert!((0..40).all(|n| memo.lookup(1, TermId(n)).is_none()));
+        // An insert past the bound shape ids grows the shape range only.
+        memo.insert(5, TermId(3), true);
+        assert_eq!(memo.lookup(5, TermId(3)), Some(true));
+        assert_eq!(memo.tables.read().nodes, g.term_count());
+        assert_eq!(memo.len(), 38);
+        memo.clear();
+        assert!(memo.is_empty());
+        assert_eq!(memo.lookup(0, TermId(30)), None);
+        // A cleared memo binds afresh and memoizes again.
+        let n0 = g.id_of(&term("n0")).unwrap();
+        let mut ctx = Context::with_memo(&schema, &g, Arc::clone(&memo));
+        assert!(ctx.conforms_named(n0, &term("S")));
+        assert_eq!(memo.len(), 1);
+        assert_eq!(memo.lookup(0, n0), Some(true));
+    }
+
+    #[test]
+    fn dense_memo_grows_at_rebind_after_delta_interns_terms() {
+        use shapefrag_rdf::DeltaGraph;
+        // S: focus nodes (subjects of q) have a p-successor conforming to T.
+        let schema = Schema::new([
+            ShapeDef::new(
+                term("S"),
+                Shape::geq(1, p("p"), Shape::HasShape(term("T"))),
+                Shape::geq(1, p("q"), Shape::True),
+            ),
+            ShapeDef::new(term("T"), Shape::geq(1, p("r"), Shape::True), Shape::False),
+        ])
+        .unwrap();
+        let base = Graph::from_triples([
+            t("a", "q", "x"),
+            t("a", "p", "b"),
+            t("b", "r", "c"),
+            t("d", "q", "x"),
+            t("d", "p", "e"),
+        ]);
+        let mut delta = DeltaGraph::new(Arc::new(base.freeze()));
+        let base_terms = delta.term_count();
+        let memo = Arc::new(ConformanceMemo::new());
+        let before = validate_batch_with_memo(&schema, &delta, Arc::clone(&memo));
+        assert_eq!(before.violations.len(), 1, "d violates S");
+        // The edit flips d (its successor e gains r) and adds a focus z;
+        // `fresh`, `z` and `w` are interned after the memo was bound.
+        for triple in [t("e", "r", "fresh"), t("z", "q", "x"), t("z", "p", "w")] {
+            delta.insert(&triple);
+        }
+        let (sid, tid) = (
+            schema.name_id(&term("S")).unwrap(),
+            schema.name_id(&term("T")).unwrap(),
+        );
+        let id = |n: &str| delta.id_of(&term(n)).unwrap();
+        memo.invalidate(tid, [id("e")]);
+        memo.invalidate(sid, [id("d")]);
+        memo.rebind(&schema, &delta);
+        let after = validate_batch_with_memo(&schema, &delta, Arc::clone(&memo));
+        assert_eq!(after, validate(&schema, &delta));
+        assert_eq!(after.violations.len(), 1, "now only z violates S");
+        let z = id("z");
+        assert!(z.0 as usize >= base_terms, "z was interned after binding");
+        assert_eq!(
+            memo.lookup(sid, z),
+            Some(false),
+            "the grown table memoizes z"
+        );
+        assert_eq!(memo.lookup(sid, id("a")), Some(true), "old facts survive");
+    }
+
+    #[test]
+    fn dense_memo_concurrent_inserts_into_one_word_match_sequential() {
+        let (schema, g) = (two_defs(), chain(70));
+        let value = |n: u32| n % 3 != 1;
+        let sequential = ConformanceMemo::new();
+        sequential.rebind(&schema, &g);
+        for n in 0..32 {
+            sequential.insert(0, TermId(n), value(n));
+        }
+        let concurrent = ConformanceMemo::new();
+        concurrent.rebind(&schema, &g);
+        // Thread k owns nodes k, k + 4, …: all four threads keep flipping
+        // entries of the same word, and each ends on its nodes' values.
+        std::thread::scope(|scope| {
+            for k in 0..4u32 {
+                let memo = &concurrent;
+                scope.spawn(move || {
+                    for _ in 0..200 {
+                        for n in (k..32).step_by(4) {
+                            memo.insert(0, TermId(n), !value(n));
+                            memo.insert(0, TermId(n), value(n));
+                        }
+                    }
+                });
+            }
+        });
+        let words = |memo: &ConformanceMemo| -> Vec<u64> {
+            memo.tables.read().shapes[0]
+                .get()
+                .expect("shape 0 has a table")
+                .iter()
+                .map(|w| w.load(Ordering::Relaxed))
+                .collect()
+        };
+        assert_eq!(words(&concurrent), words(&sequential));
+        assert_eq!(concurrent.len(), 32);
     }
 
     #[cfg(debug_assertions)]

@@ -1,6 +1,6 @@
 //! Edge-case tests for the governance primitives that the server leans
 //! on: [`Budget::split`] as the contract between a parent request and its
-//! parallel workers, and [`ConformanceMemo`]'s lock stripes under worker
+//! parallel workers, and [`ConformanceMemo`] and its locks under worker
 //! panics. The memo is shared across validation workers; a panicking
 //! worker must neither wedge the other threads nor hide the facts it
 //! already published (the compat `parking_lot` lock deliberately has no
@@ -67,11 +67,11 @@ fn split_budget_floors_at_one_step_per_worker() {
 }
 
 // ---------------------------------------------------------------------
-// ConformanceMemo stripe poisoning
+// ConformanceMemo under worker panics
 // ---------------------------------------------------------------------
 
-/// Keys spread over many stripes (the memo has 64; shape index varies the
-/// hash enough to hit a good fraction of them).
+/// Keys spread over many shapes and nodes (an unbound memo grows its
+/// dense tables to fit them).
 fn spread_keys() -> Vec<(u32, TermId)> {
     (0..256u32)
         .map(|i| (i, TermId(i.wrapping_mul(31))))
@@ -108,7 +108,7 @@ fn memo_facts_survive_worker_panic() {
     }
     assert_eq!(memo.len(), keys.len());
 
-    // …and every stripe is still writable from a fresh thread (no
+    // …and the memo is still writable from a fresh thread (no
     // deadlock, no poison error surfacing as a panic).
     let memo2 = Arc::clone(&memo);
     let keys2 = keys.clone();
@@ -123,8 +123,8 @@ fn memo_facts_survive_worker_panic() {
     }
 }
 
-/// The sharper case: a thread panics while *holding* a stripe's write
-/// guard (mid-insert, as far as the lock is concerned). The compat
+/// The sharper case: a thread panics while *holding* a write guard of
+/// the kind the memo keeps its tables and binding under. The compat
 /// `parking_lot` lock ignores poisoning, so readers and writers on other
 /// threads proceed and see whatever was written before the panic.
 #[test]
