@@ -1,4 +1,5 @@
-//! Parser throughput: N-Triples and Turtle loading, plus shapes-graph
+//! Parser throughput: N-Triples and Turtle loading (N-Triples also with
+//! the CSR freeze every validating command runs next), plus shapes-graph
 //! translation (Appendix A) — the data-ingestion side excluded from the
 //! paper's timers but load-bearing for a practical engine.
 
@@ -50,6 +51,9 @@ fn bench_parsing(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(nt.len() as u64));
     group.bench_function("ntriples", |b| {
         b.iter(|| ntriples::parse(&nt).unwrap());
+    });
+    group.bench_function("ntriples_parse_freeze", |b| {
+        b.iter(|| ntriples::parse(&nt).unwrap().freeze());
     });
     group.throughput(Throughput::Bytes(ttl.len() as u64));
     group.bench_function("turtle", |b| {

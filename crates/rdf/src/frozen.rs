@@ -170,6 +170,13 @@ impl Graph {
         }
         pred_edge_starts.push(pred_edges.len() as u32);
 
+        // A term is a node iff it has an outgoing or an incoming edge; the
+        // CSR offsets answer that for every id in one ascending pass.
+        let nodes = (0..n_terms as u32)
+            .map(TermId)
+            .filter(|&n| !fwd.pred_run(n).is_empty() || !bwd.pred_run(n).is_empty())
+            .collect();
+
         FrozenGraph {
             terms: self.terms.clone(),
             fwd,
@@ -177,7 +184,7 @@ impl Graph {
             pred_ids,
             pred_edge_starts,
             pred_edges,
-            nodes: self.node_ids().into_iter().collect(),
+            nodes,
             len: self.len,
         }
     }
@@ -424,6 +431,27 @@ mod tests {
         assert!(f.contains_ids(a, p, b));
         assert!(!f.contains_ids(b, q, a));
         assert_eq!(g.node_ids(), GraphAccess::node_ids(&f));
+    }
+
+    #[test]
+    fn csr_nodes_match_node_ids_with_isolated_terms() {
+        let mut g = Graph::new();
+        g.intern(&Term::iri("before"));
+        g.insert(t("a", "p", "b"));
+        g.insert(t("b", "q", "c"));
+        g.intern(&Term::iri("after"));
+        g.insert(t("c", "p", "c"));
+        g.intern(&Term::iri("last"));
+        let f = g.freeze();
+        let expected: Vec<_> = g.node_ids().into_iter().collect();
+        assert_eq!(f.node_ids_slice(), expected.as_slice());
+        // Predicates and terms interned without triples are not nodes.
+        assert!(!f
+            .node_ids_slice()
+            .contains(&g.id_of_iri(&Iri::new("p")).unwrap()));
+        assert!(!f
+            .node_ids_slice()
+            .contains(&g.id_of(&Term::iri("last")).unwrap()));
     }
 
     #[test]

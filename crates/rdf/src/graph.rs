@@ -12,6 +12,7 @@
 //! Sets are `BTreeSet`s over ids so iteration order is deterministic for a
 //! given insertion sequence, which keeps experiments reproducible.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -74,6 +75,18 @@ impl Interner {
         id
     }
 
+    /// Interns an owned term, hashing it once.
+    pub(crate) fn intern_owned(&mut self, term: Term) -> TermId {
+        let next = TermId(self.terms.len() as u32);
+        match self.lookup.entry(Arc::new(term)) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                self.terms.push(Arc::clone(e.key()));
+                *e.insert(next)
+            }
+        }
+    }
+
     pub(crate) fn get(&self, term: &Term) -> Option<TermId> {
         self.lookup.get(term).copied()
     }
@@ -117,6 +130,40 @@ impl Graph {
             g.insert(t);
         }
         g
+    }
+
+    /// Builds a graph from an interner and the id triples of a document
+    /// (duplicates allowed): the bulk-load path of the N-Triples reader.
+    ///
+    /// Instead of one index insert per triple, the triples are put in
+    /// s-p-o, p-s-o and o-p-s order by stable counting sorts on the dense
+    /// ids, deduplicated once, and each sorted run is collected into its
+    /// `BTreeMap`/`BTreeSet`. The result equals inserting the triples one
+    /// by one with [`Graph::insert`] after interning the same terms in the
+    /// same order.
+    pub(crate) fn from_id_triples(terms: Interner, triples: Vec<IdTriple>) -> Graph {
+        let n = terms.len();
+        // Least significant position first: stable passes by o, then p,
+        // then s leave the triples in (s, p, o) order.
+        let mut spo = sort_by_id(
+            &sort_by_id(&sort_by_id(&triples, n, |t| t.2), n, |t| t.1),
+            n,
+            |t| t.0,
+        );
+        drop(triples);
+        spo.dedup();
+        let pso = sort_by_id(&spo, n, |t| t.1);
+        let ops = sort_by_id(&pso, n, |t| t.2);
+        Graph {
+            terms,
+            spo: nested_index(&spo, |&(s, p, o)| (s, p, o)),
+            ops: nested_index(&ops, |&(s, p, o)| (o, p, s)),
+            pso: pso
+                .chunk_by(|a, b| a.1 == b.1)
+                .map(|run| (run[0].1, run.iter().map(|&(s, _, o)| (s, o)).collect()))
+                .collect(),
+            len: spo.len(),
+        }
     }
 
     /// Pre-reserves capacity for roughly `triples` additional triples.
@@ -481,6 +528,49 @@ impl Graph {
     pub fn is_subgraph_of(&self, other: &Graph) -> bool {
         self.iter().all(|t| other.contains(&t))
     }
+}
+
+/// An `(s, p, o)` triple of ids.
+pub(crate) type IdTriple = (TermId, TermId, TermId);
+
+/// Stable counting sort of id triples by the id `key` picks (all ids
+/// below `n_ids`): one histogram pass and one scatter pass.
+fn sort_by_id(
+    triples: &[IdTriple],
+    n_ids: usize,
+    key: impl Fn(&IdTriple) -> TermId,
+) -> Vec<IdTriple> {
+    let mut next = vec![0usize; n_ids + 1];
+    for t in triples {
+        next[key(t).0 as usize + 1] += 1;
+    }
+    for i in 1..next.len() {
+        next[i] += next[i - 1];
+    }
+    let mut sorted = vec![(TermId(0), TermId(0), TermId(0)); triples.len()];
+    for t in triples {
+        let slot = &mut next[key(t).0 as usize];
+        sorted[*slot] = *t;
+        *slot += 1;
+    }
+    sorted
+}
+
+/// A `first → second → {third}` index from triples sorted by the
+/// positions `order` picks, in that order.
+fn nested_index(
+    sorted: &[IdTriple],
+    order: impl Fn(&IdTriple) -> IdTriple,
+) -> IntMap<TermId, BTreeMap<TermId, BTreeSet<TermId>>> {
+    let mut index = IntMap::default();
+    for run in sorted.chunk_by(|a, b| order(a).0 == order(b).0) {
+        let mut by_second = BTreeMap::new();
+        for pair in run.chunk_by(|a, b| order(a).1 == order(b).1) {
+            by_second.insert(order(&pair[0]).1, pair.iter().map(|t| order(t).2).collect());
+        }
+        index.insert(order(&run[0]).0, by_second);
+    }
+    index
 }
 
 impl PartialEq for Graph {

@@ -123,6 +123,22 @@ impl Literal {
         }
     }
 
+    /// A literal from parts built elsewhere: `language` must already be
+    /// lower-cased and `datatype` must be `rdf:langString` when a tag is
+    /// present. Lets the N-Triples reader share one tag and one datatype
+    /// value per distinct literal suffix.
+    pub(crate) fn from_parts(
+        lexical: impl Into<Arc<str>>,
+        language: Option<Arc<str>>,
+        datatype: Iri,
+    ) -> Self {
+        Literal {
+            lexical: lexical.into(),
+            language,
+            datatype,
+        }
+    }
+
     /// A literal with an explicit datatype.
     pub fn typed(lexical: impl Into<Arc<str>>, datatype: Iri) -> Self {
         Literal {

@@ -3,6 +3,8 @@
 //! graphs, path expressions, and shapes covering every construct of the
 //! paper's grammar (§2).
 
+pub mod ntriples_oracle;
+
 use proptest::prelude::*;
 
 use shape_fragments::rdf::{Graph, Iri, Literal, Term, Triple};

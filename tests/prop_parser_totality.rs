@@ -6,8 +6,9 @@ mod common;
 
 use proptest::prelude::*;
 
-use shape_fragments::govern::{Budget, ExecCtx};
-use shape_fragments::rdf::{ntriples, turtle};
+use common::{graph_strategy, ntriples_oracle};
+use shape_fragments::govern::{Budget, ErrorCode, ExecCtx};
+use shape_fragments::rdf::{ntriples, turtle, Graph, GraphAccess, ParseError, TermId};
 use shape_fragments::shacl::parser::parse_shapes_turtle;
 use shape_fragments::shacl::regex::Pattern;
 use shape_fragments::sparql::parser::parse_select;
@@ -67,8 +68,156 @@ fn mangle_bytes(text: &str, pos: usize, mode: u8, byte: u8) -> String {
     String::from_utf8_lossy(&bytes).into_owned()
 }
 
+/// Raw spellings for synthetic statements. Several spell one term —
+/// escaped or not, language tags in any case, an explicit `xsd:string` —
+/// so the reader's token cache must fall through to one interned id.
+const SUBJECTS: &[&str] = &[
+    "<http://t.example.org/n0>",
+    "<http://t.example.org/n1>",
+    "<http://t.example.org/n\\u0031>",
+    "<http://t.example.org/\\U0000006E2>",
+    "<http://t.example.org/n2>",
+    "_:b0",
+    "_:b1",
+];
+
+const PREDICATES: &[&str] = &[
+    "<http://t.example.org/p0>",
+    "<http://t.example.org/p\\u0030>",
+    "<http://t.example.org/p1>",
+];
+
+const LITERALS: &[&str] = &[
+    "\"w\"@en",
+    "\"w\"@EN",
+    "\"w\"@En-gB",
+    "\"5\"^^<http://www.w3.org/2001/XMLSchema#integer>",
+    "\"5\"^^<http://www.w3.org/2001/XMLSchema#int\\u0065ger>",
+    "\"x\"",
+    "\"x\"^^<http://www.w3.org/2001/XMLSchema#string>",
+    "\"caf\\u00E9\"",
+    "\"café\"",
+    "\"a\\\"b\\\\c\\n\\t\\r\"",
+    "\"\\U0001F600 \\b\\f\\'\"",
+];
+
+const INDENTS: &[&str] = &["", "  ", "\t", " \t ", "\u{a0}"];
+
+/// An N-Triples document: a generated graph as serialized, followed by
+/// synthetic statements over [`SUBJECTS`], [`PREDICATES`] and
+/// [`LITERALS`] with indentation, trailing comments, comment and blank
+/// lines, duplicated lines and (optionally) CRLF endings.
+fn ntriples_document() -> impl Strategy<Value = String> {
+    let statement = (
+        0..SUBJECTS.len(),
+        0..PREDICATES.len(),
+        0..SUBJECTS.len() + LITERALS.len(),
+        0..INDENTS.len(),
+        0u8..6,
+    );
+    (
+        graph_strategy(6),
+        prop::collection::vec(statement, 0..12),
+        any::<bool>(),
+    )
+        .prop_map(|(g, statements, crlf)| {
+            let mut lines: Vec<String> =
+                ntriples::serialize(&g).lines().map(String::from).collect();
+            for (s, p, o, indent, extra) in statements {
+                let object = SUBJECTS
+                    .get(o)
+                    .copied()
+                    .unwrap_or_else(|| LITERALS[o - SUBJECTS.len()]);
+                let line = format!(
+                    "{}{} {} {} .",
+                    INDENTS[indent], SUBJECTS[s], PREDICATES[p], object
+                );
+                match extra {
+                    0 => lines.push(format!("{line} # trailing")),
+                    1 => lines.push("# a comment line".into()),
+                    2 => lines.push(String::new()),
+                    3 => {
+                        if let Some(prev) = lines.last().cloned() {
+                            lines.push(prev);
+                        }
+                    }
+                    _ => {}
+                }
+                lines.push(line);
+            }
+            let eol = if crlf { "\r\n" } else { "\n" };
+            lines.into_iter().map(|l| l + eol).collect()
+        })
+}
+
+fn error_position(e: &ParseError) -> (usize, usize, ErrorCode) {
+    (e.line, e.column, e.code)
+}
+
+/// Same triple count, same term behind every id, same triples by id.
+fn same_graph(got: &Graph, want: &Graph) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.len(), want.len());
+    prop_assert_eq!(got.term_count(), want.term_count());
+    for i in 0..want.term_count() as u32 {
+        prop_assert_eq!(got.term(TermId(i)), want.term(TermId(i)));
+    }
+    prop_assert_eq!(
+        got.iter_ids().collect::<Vec<_>>(),
+        want.iter_ids().collect::<Vec<_>>()
+    );
+    Ok(())
+}
+
+/// The strict and lossy readers agree with the reference oracle.
+fn agrees_with_oracle(input: &str) -> Result<(), TestCaseError> {
+    match (ntriples::parse(input), ntriples_oracle::parse(input)) {
+        (Ok(got), Ok(want)) => same_graph(&got, &want)?,
+        (Err(got), Err(want)) => prop_assert_eq!(error_position(&got), error_position(&want)),
+        (got, want) => {
+            return Err(TestCaseError::fail(format!(
+                "parse disagrees on {input:?}: {:?} vs oracle {:?}",
+                got.map(|g| g.len()),
+                want.map(|g| g.len())
+            )))
+        }
+    }
+    let got = ntriples::parse_lossy(input);
+    let want = ntriples_oracle::parse_lossy(input);
+    same_graph(&got.graph, &want.graph)?;
+    prop_assert_eq!(got.statements_ok, want.statements_ok);
+    prop_assert_eq!(got.statements_skipped, want.statements_skipped);
+    prop_assert_eq!(
+        got.diagnostics
+            .iter()
+            .map(error_position)
+            .collect::<Vec<_>>(),
+        want.diagnostics
+            .iter()
+            .map(error_position)
+            .collect::<Vec<_>>()
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The byte-level reader matches the reference oracle on generated
+    /// documents, on their byte-mangled variants and on printable noise.
+    #[test]
+    fn ntriples_reader_agrees_with_oracle(
+        doc in ntriples_document(),
+        pos in 0usize..2000,
+        mode in 0u8..4,
+        b in any::<u8>(),
+        noise in "[ -~\\n]{0,120}",
+    ) {
+        agrees_with_oracle(&doc)?;
+        if mode < 3 {
+            agrees_with_oracle(&mangle_bytes(&doc, pos, mode, b))?;
+        }
+        agrees_with_oracle(&noise)?;
+    }
 
     #[test]
     fn turtle_parser_total(input in "[ -~\\n]{0,120}") {
