@@ -1,12 +1,12 @@
 //! Pass 4: per-shape cost annotation.
 //!
-//! Classifies the evaluation cost of every definition so batch drivers can
+//! Classifies the evaluation cost of every definition so the engine can
 //! route work: the fan-out class of its paths (does an edge step stay
 //! within one node's adjacency, or can it traverse the graph?) and whether
 //! batch evaluation shares work across focus nodes (the memo-sharing
-//! potential exploited by `validate_batch`). The routing heuristic in
-//! `shapefrag-core`'s instrumented driver consumes [`shape_shares_work`];
-//! it previously lived there as an ad-hoc private helper.
+//! potential exploited by set-at-a-time validation). `shapefrag-core`'s
+//! engine prices its work units with [`shape_cost`] and routes
+//! instrumented extraction with [`shape_shares_work`].
 
 use std::collections::BTreeMap;
 

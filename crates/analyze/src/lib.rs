@@ -56,8 +56,7 @@ pub use refgraph::{analyze_refs, Polarity, RefGraph};
 use std::collections::BTreeMap;
 
 use shapefrag_rdf::vocab::sh;
-use shapefrag_rdf::{GraphAccess, Iri, Span, Term};
-use shapefrag_shacl::validator::ValidationReport;
+use shapefrag_rdf::{Iri, Span, Term};
 use shapefrag_shacl::{Nnf, Schema, SchemaSpans, ShapeDef};
 
 /// The constraint predicates whose source position best localizes a code,
@@ -224,20 +223,6 @@ pub fn simplify(schema: &Schema, level: SimplifyLevel) -> (Schema, Vec<Diagnosti
     let simplified = Schema::new(new_defs)
         .expect("simplification removes subterms but never introduces names or cycles");
     (simplified, diags)
-}
-
-/// Batch validation with a validation-level pre-simplify: folds the schema
-/// first (cheap, schema-sized) and validates with the smaller formulas.
-/// The report is identical to `validate_batch(schema, graph)`.
-pub fn validate_batch_simplified<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-) -> (ValidationReport, Vec<Diagnostic>) {
-    let (simplified, diags) = simplify(schema, SimplifyLevel::Validation);
-    (
-        shapefrag_shacl::validator::validate_batch(&simplified, graph),
-        diags,
-    )
 }
 
 #[cfg(test)]

@@ -7,8 +7,10 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use shapefrag_core::{validate_extract_fragment, validate_extract_fragment_per_node};
-use shapefrag_shacl::validator::{validate, validate_batch};
+use shapefrag_core::{
+    validate_batch_par, validate_extract_fragment, validate_extract_fragment_per_node,
+};
+use shapefrag_shacl::validator::validate;
 use shapefrag_shacl::Schema;
 use shapefrag_workloads::shapes57::benchmark_shapes;
 use shapefrag_workloads::tyrolean::{generate, TyroleanConfig};
@@ -26,7 +28,9 @@ fn bench_batch_validation(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("batch/validate");
     group.bench_function("per-node", |b| b.iter(|| validate(&schema, &graph)));
-    group.bench_function("batch", |b| b.iter(|| validate_batch(&schema, &graph)));
+    group.bench_function("batch", |b| {
+        b.iter(|| validate_batch_par(&schema, &graph, 1))
+    });
     group.finish();
 
     let mut group = c.benchmark_group("batch/validate+extract");

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use shapefrag_core::{fragment, fragment_par, neighborhood};
+use shapefrag_core::{fragment, neighborhood, Engine};
 use shapefrag_rdf::Term;
 use shapefrag_shacl::shape::PathOrId;
 use shapefrag_shacl::validator::Context;
@@ -105,7 +105,8 @@ fn bench_neighborhood(c: &mut Criterion) {
             BenchmarkId::new("parallel", workers),
             &workers,
             |b, &workers| {
-                b.iter(|| fragment_par(&empty, &graph, std::slice::from_ref(&frag_shape), workers));
+                let engine = Engine::new().threads(workers);
+                b.iter(|| engine.fragment(&empty, &graph, std::slice::from_ref(&frag_shape)));
             },
         );
     }

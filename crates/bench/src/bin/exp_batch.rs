@@ -3,12 +3,12 @@
 //! Runs the full Tyrolean 57-shape suite over a ladder of graph sizes and
 //! measures, per size, the median wall-clock time of
 //!
-//! - plain validation: per-node `validate` vs. `validate_batch`
+//! - plain validation: per-node `validate` vs. the one-thread engine
 //!   (multi-source RPQ kernel + shared conformance memo), and
 //! - validation with fragment extraction:
 //!   `validate_extract_fragment_per_node` vs. the batch
 //!   `validate_extract_fragment`, and
-//! - the frozen backend: the same batch kernels over a [`FrozenGraph`]
+//! - the frozen backend: the same batch kernels over a `FrozenGraph`
 //!   CSR snapshot (freeze time reported separately).
 //!
 //! Results (and the batch/per-node speedup per size) are written to
@@ -21,10 +21,9 @@ use shapefrag_analyze::{analyze_schema, simplify, SimplifyLevel};
 use shapefrag_bench::{ms, print_table, time, write_json_to, ExpOptions};
 use shapefrag_core::{
     validate_batch_par, validate_batch_par_stats, validate_extract_fragment,
-    validate_extract_fragment_par, validate_extract_fragment_par_stats,
-    validate_extract_fragment_per_node,
+    validate_extract_fragment_per_node, Engine,
 };
-use shapefrag_shacl::validator::{validate, validate_batch};
+use shapefrag_shacl::validator::validate;
 use shapefrag_shacl::Schema;
 use shapefrag_workloads::shapes57::benchmark_shapes;
 use shapefrag_workloads::tyrolean::{generate, sample_induced, TyroleanConfig};
@@ -168,12 +167,12 @@ fn main() {
         let reference = validate(&schema, &graph);
         assert_eq!(
             reference,
-            validate_batch(&schema, &graph),
+            validate_batch_par(&schema, &graph, 1),
             "batch validation diverged from per-node at {individuals} individuals"
         );
         assert_eq!(
             reference,
-            validate_batch(&schema, &frozen),
+            validate_batch_par(&schema, &frozen, 1),
             "frozen validation diverged from mutable at {individuals} individuals"
         );
         let max_threads = opts.threads.iter().copied().max().unwrap_or(1);
@@ -184,8 +183,10 @@ fn main() {
         );
         {
             let (seq_report, seq_frag) = validate_extract_fragment(&schema, &frozen);
-            let (par_report, par_frag) =
-                validate_extract_fragment_par(&schema, &frozen, max_threads);
+            let (par_report, par_frag, _) = Engine::new()
+                .threads(max_threads)
+                .extract(&schema, &frozen)
+                .unwrap();
             assert_eq!(
                 seq_report, par_report,
                 "parallel extraction report diverged at {individuals} individuals"
@@ -207,8 +208,8 @@ fn main() {
         let mut s_ext_frozen = Vec::with_capacity(runs);
         for _ in 0..runs {
             s_val_per_node.push(time(|| validate(&schema, &graph)).1);
-            s_val_batch.push(time(|| validate_batch(&schema, &graph)).1);
-            s_val_frozen.push(time(|| validate_batch(&schema, &frozen)).1);
+            s_val_batch.push(time(|| validate_batch_par(&schema, &graph, 1)).1);
+            s_val_frozen.push(time(|| validate_batch_par(&schema, &frozen, 1)).1);
             s_ext_per_node.push(time(|| validate_extract_fragment_per_node(&schema, &graph)).1);
             s_ext_batch.push(time(|| validate_extract_fragment(&schema, &graph)).1);
             s_ext_frozen.push(time(|| validate_extract_fragment(&schema, &frozen)).1);
@@ -232,8 +233,8 @@ fn main() {
                 let ((_, vs), d) = time(|| validate_batch_par_stats(&schema, &frozen, threads));
                 s_val_par.push(d);
                 val_stats = Some(vs);
-                let ((_, _, es), d) =
-                    time(|| validate_extract_fragment_par_stats(&schema, &frozen, threads));
+                let engine = Engine::new().threads(threads);
+                let ((_, _, es), d) = time(|| engine.extract(&schema, &frozen).unwrap());
                 s_ext_par.push(d);
                 ext_stats = Some(es);
             }

@@ -7,9 +7,9 @@
 //! `minCount 1` weakening of every `minCount >= 2` definition, then
 //! validates a Tyrolean graph two ways:
 //!
-//! - plain: [`validate_batch`] with a fresh memo, no containment index;
-//! - containment: [`validate_batch_containment`] with a
-//!   [`ContainmentMatrix`]-derived index attached, so decided bits of an
+//! - plain: one-thread [`Engine::validate`] with no containment index;
+//! - containment: the same engine with a [`ContainmentMatrix`]-derived
+//!   index attached, so decided bits of an
 //!   equivalent or subsuming definition answer top-level checks without
 //!   evaluating the shape body.
 //!
@@ -26,8 +26,8 @@ use std::time::Duration;
 
 use shapefrag_analyze::ContainmentMatrix;
 use shapefrag_bench::{ms, print_table, time, write_json_to, ExpOptions};
+use shapefrag_core::Engine;
 use shapefrag_rdf::Term;
-use shapefrag_shacl::validator::{validate_batch, validate_batch_containment, ConformanceMemo};
 use shapefrag_shacl::{Schema, Shape, ShapeDef};
 use shapefrag_workloads::shapes57::benchmark_shapes;
 use shapefrag_workloads::tyrolean::{generate, TyroleanConfig};
@@ -134,16 +134,19 @@ fn main() {
 
     // Correctness gate: containment-assisted validation must be
     // bit-identical to the plain batch driver before anything is timed.
-    let baseline = validate_batch(&schema, frozen.as_ref());
-    let memo = Arc::new(ConformanceMemo::new());
-    memo.attach_containment(Arc::clone(&index));
-    let (assisted, shapes_skipped) =
-        validate_batch_containment(&schema, frozen.as_ref(), Arc::clone(&memo));
+    let plain = Engine::new();
+    let assisted_engine = Engine::new().containment(Arc::clone(&index));
+    let (baseline, _) = plain.validate(&schema, frozen.as_ref()).unwrap();
+    let (assisted, stats) = assisted_engine.validate(&schema, frozen.as_ref()).unwrap();
     assert_eq!(
         baseline, assisted,
         "containment-assisted report diverged from plain batch"
     );
-    let (derived_hits, derived_misses) = memo.containment_counters();
+    let (derived_hits, derived_misses, shapes_skipped) = (
+        stats.checks_derived,
+        stats.derive_misses,
+        stats.shapes_skipped,
+    );
     let checked = assisted.checked as u64;
     let checks_avoided_pct = if checked == 0 {
         0.0
@@ -160,13 +163,9 @@ fn main() {
     let mut s_plain = Vec::with_capacity(runs);
     let mut s_cont = Vec::with_capacity(runs);
     for _ in 0..runs {
-        let (_, t) = time(|| validate_batch(&schema, frozen.as_ref()));
+        let (_, t) = time(|| plain.validate(&schema, frozen.as_ref()).unwrap());
         s_plain.push(t);
-        let (_, t) = time(|| {
-            let memo = Arc::new(ConformanceMemo::new());
-            memo.attach_containment(Arc::clone(&index));
-            validate_batch_containment(&schema, frozen.as_ref(), memo)
-        });
+        let (_, t) = time(|| assisted_engine.validate(&schema, frozen.as_ref()).unwrap());
         s_cont.push(t);
     }
     let t_plain = median(s_plain);

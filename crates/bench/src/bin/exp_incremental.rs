@@ -9,11 +9,11 @@
 //! of
 //!
 //! - the incremental path: `apply` (change-impact routing + selective
-//!   memo invalidation over the [`DeltaGraph`] overlay), sequential and
+//!   memo invalidation over the `DeltaGraph` overlay), sequential and
 //!   at the largest `--threads` count, and
 //! - the scratch path: replay the edits into a mutable graph, re-freeze,
-//!   and `validate_batch` the snapshot (what a non-incremental server
-//!   has to do per batch),
+//!   and validate the snapshot on a one-thread `Engine` (what a
+//!   non-incremental server has to do per batch),
 //!
 //! plus edits/sec and the incremental-vs-scratch speedup. Reports are
 //! asserted identical before anything is timed. Results go to
@@ -26,9 +26,8 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use shapefrag_bench::{ms, print_table, time, write_json_to, ExpOptions};
-use shapefrag_core::{EditOp, EditScript, IncrementalValidator};
+use shapefrag_core::{validate_batch_par, EditOp, EditScript, IncrementalValidator};
 use shapefrag_rdf::{Graph, Triple};
-use shapefrag_shacl::validator::validate_batch;
 use shapefrag_shacl::Schema;
 use shapefrag_workloads::shapes57::benchmark_shapes;
 use shapefrag_workloads::tyrolean::{generate, sample_induced, TyroleanConfig};
@@ -188,7 +187,7 @@ fn main() {
             let report = inc.apply(&script);
             assert_eq!(
                 report,
-                validate_batch(&schema, &post),
+                validate_batch_par(&schema, &post, 1),
                 "incremental diverged from scratch at {individuals}/{ratio}"
             );
             inc.apply(&undo);
@@ -221,7 +220,7 @@ fn main() {
                             }
                         }
                         let f = g.freeze();
-                        validate_batch(&schema, &f)
+                        validate_batch_par(&schema, &f, 1)
                     })
                     .1,
                 );

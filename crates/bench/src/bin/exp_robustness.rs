@@ -1,11 +1,13 @@
 //! **Robustness experiment** — the cost of resource governance.
 //!
-//! The governed kernels thread an [`ExecCtx`] (step budget, memory
+//! The governed kernels thread an `ExecCtx` (step budget, memory
 //! estimate, deadline, cancellation) through every hot loop. This
 //! experiment quantifies what that bookkeeping costs when nothing faults:
 //! per graph size, the median wall-clock time (after a discarded warmup
-//! round per side) of `validate_batch` vs. `validate_batch_governed` with
-//! an unbounded context, and the relative overhead — clamped at 0 for the
+//! round per side) of one-thread [`Engine::validate`] without limits vs.
+//! the same engine under an hour-long deadline and a cancellation token
+//! (every check stride then reads the clock and the flag), and the
+//! relative overhead — clamped at 0 for the
 //! headline number (governance cannot make the kernel faster; negative
 //! medians are noise) with the raw value kept in `raw_overhead_pct`. It
 //! also measures how quickly a governed run aborts once its wall-clock
@@ -18,8 +20,8 @@
 use std::time::Duration;
 
 use shapefrag_bench::{ms, print_table, time, write_json_to, ExpOptions};
-use shapefrag_shacl::validator::{validate_batch, validate_batch_governed};
-use shapefrag_shacl::{Budget, EngineError, ExecCtx, Schema};
+use shapefrag_core::Engine;
+use shapefrag_shacl::{Budget, CancelToken, EngineError, Schema};
 use shapefrag_workloads::shapes57::benchmark_shapes;
 use shapefrag_workloads::tyrolean::{generate, sample_induced, TyroleanConfig};
 
@@ -113,27 +115,31 @@ fn main() {
         // Both sides run over the CSR snapshot (the production read path).
         let frozen = graph.freeze();
 
-        // Sanity: governance must not change the verdicts.
+        let plain = Engine::new();
+        let token = CancelToken::new();
+        let governed = Engine::new()
+            .budget(Budget::unlimited().deadline(Duration::from_secs(3600)))
+            .cancel(&token);
+
+        // Sanity: governance must not change the verdicts. This is also
+        // the warmup: one discarded round per side pulls the graph and
+        // memo structures into cache so the first timed run is not an
+        // outlier.
         assert_eq!(
-            validate_batch(&schema, &frozen),
-            validate_batch_governed(&schema, &frozen, ExecCtx::unbounded())
-                .expect("unbounded context cannot fault"),
+            plain.validate(&schema, &frozen).unwrap().0,
+            governed
+                .validate(&schema, &frozen)
+                .expect("an hour-long deadline cannot expire here")
+                .0,
             "governed validation diverged at {individuals} individuals"
         );
-
-        // Warmup: one discarded round per side pulls the graph and memo
-        // structures into cache so the first timed run is not an outlier.
-        validate_batch(&schema, &frozen);
-        validate_batch_governed(&schema, &frozen, ExecCtx::unbounded()).unwrap();
 
         // Interleave so machine drift hits both sides equally.
         let mut s_plain = Vec::with_capacity(runs);
         let mut s_governed = Vec::with_capacity(runs);
         for _ in 0..runs {
-            s_plain.push(time(|| validate_batch(&schema, &frozen)).1);
-            s_governed.push(
-                time(|| validate_batch_governed(&schema, &frozen, ExecCtx::unbounded()).unwrap()).1,
-            );
+            s_plain.push(time(|| plain.validate(&schema, &frozen).unwrap()).1);
+            s_governed.push(time(|| governed.validate(&schema, &frozen).unwrap()).1);
         }
         let t_plain = median(s_plain);
         let t_governed = median(s_governed);
@@ -153,8 +159,8 @@ fn main() {
     let mut aborts = Vec::new();
     let full_frozen = full.freeze();
     for deadline in [Duration::from_millis(1), Duration::from_millis(5)] {
-        let exec = ExecCtx::with_budget(Budget::unlimited().deadline(deadline));
-        let (res, observed) = time(|| validate_batch_governed(&schema, &full_frozen, exec));
+        let engine = Engine::new().budget(Budget::unlimited().deadline(deadline));
+        let (res, observed) = time(|| engine.validate(&schema, &full_frozen));
         match res {
             Err(EngineError::DeadlineExceeded { .. }) => {}
             other => {

@@ -1,4 +1,4 @@
-//! Minimal offline stand-in for [`parking_lot`], backed by `std::sync`.
+//! Minimal offline stand-in for `parking_lot`, backed by `std::sync`.
 //!
 //! Exposes the subset of the API this workspace uses: [`RwLock`] and
 //! [`Mutex`] with panic-free (non-poisoning) `lock`/`read`/`write`. Lock

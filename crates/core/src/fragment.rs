@@ -10,20 +10,21 @@
 //! `G` does and all targets are monotone.
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
-use shapefrag_govern::{EngineError, ExecCtx};
 use shapefrag_rdf::{Graph, GraphAccess, TermId};
-use shapefrag_shacl::validator::{ConformanceMemo, Context};
+use shapefrag_shacl::validator::Context;
 use shapefrag_shacl::{Nnf, Schema, Shape};
 
-use crate::neighborhood::{
-    collect_neighborhood_many, materialize, neighborhood_nnf_ids, IdTriples,
-};
+use crate::engine::Engine;
+use crate::neighborhood::{materialize, neighborhood_nnf_ids, IdTriples};
 
-/// Computes the shape fragment `Frag(G, S)` for request shapes `S`.
+/// Computes the shape fragment `Frag(G, S)` for request shapes `S`: a
+/// one-thread [`Engine::fragment`], materialized.
 pub fn fragment<G: GraphAccess>(schema: &Schema, graph: &G, shapes: &[Shape]) -> Graph {
-    materialize(graph, &fragment_ids(schema, graph, shapes))
+    let (ids, _) = Engine::new()
+        .fragment(schema, graph, shapes)
+        .expect("an unbounded engine cannot fault");
+    materialize(graph, &ids)
 }
 
 /// Computes `Frag(G, H)`: the fragment for a schema's request shapes
@@ -32,72 +33,7 @@ pub fn schema_fragment<G: GraphAccess>(schema: &Schema, graph: &G) -> Graph {
     fragment(schema, graph, &schema.request_shapes())
 }
 
-/// Id-triple form of [`fragment`]. Runs set-at-a-time: per request shape,
-/// all graph nodes are decided in one batch (with a shared memo for
-/// `hasShape` sub-shapes) and the conforming nodes' neighborhoods are
-/// collected by the batched Table 2 collector.
-pub fn fragment_ids<G: GraphAccess>(schema: &Schema, graph: &G, shapes: &[Shape]) -> IdTriples {
-    let memo = Arc::new(ConformanceMemo::new());
-    let mut ctx = Context::with_memo(schema, graph, memo);
-    let nodes: Vec<TermId> = graph.node_ids().into_iter().collect();
-    let mut out = IdTriples::default();
-    for shape in shapes {
-        let nnf = Nnf::from_shape(shape);
-        let decisions = ctx.conforms_all_nnf(&nodes, &nnf);
-        let conforming: Vec<TermId> = nodes
-            .iter()
-            .zip(decisions)
-            .filter(|(_, ok)| *ok)
-            .map(|(&v, _)| v)
-            .collect();
-        collect_neighborhood_many(&mut ctx, &conforming, &nnf, &mut out);
-    }
-    out
-}
-
-/// Resource-governed [`fragment`]: computes `Frag(G, S)` under a deadline /
-/// step / memory / depth / cancellation governor, surfacing the first trip
-/// as an [`EngineError`] instead of a silently incomplete fragment.
-pub fn fragment_governed<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-    shapes: &[Shape],
-    exec: ExecCtx,
-) -> Result<Graph, EngineError> {
-    let memo = Arc::new(ConformanceMemo::new());
-    let mut ctx = Context::with_memo(schema, graph, memo).with_exec(exec);
-    let nodes: Vec<TermId> = graph.node_ids().into_iter().collect();
-    let mut out = IdTriples::default();
-    for shape in shapes {
-        let nnf = Nnf::from_shape(shape);
-        let decisions = ctx.conforms_all_nnf(&nodes, &nnf);
-        if let Some(e) = ctx.take_fault() {
-            return Err(e);
-        }
-        let conforming: Vec<TermId> = nodes
-            .iter()
-            .zip(decisions)
-            .filter(|(_, ok)| *ok)
-            .map(|(&v, _)| v)
-            .collect();
-        collect_neighborhood_many(&mut ctx, &conforming, &nnf, &mut out);
-        if let Some(e) = ctx.take_fault() {
-            return Err(e);
-        }
-    }
-    Ok(materialize(graph, &out))
-}
-
-/// Resource-governed [`schema_fragment`].
-pub fn schema_fragment_governed<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-    exec: ExecCtx,
-) -> Result<Graph, EngineError> {
-    fragment_governed(schema, graph, &schema.request_shapes(), exec)
-}
-
-/// Per-node reference implementation of [`fragment_ids`] (one neighborhood
+/// Per-node reference implementation of [`Engine::fragment`] (one neighborhood
 /// computation per (node, shape) pair); baseline for benchmarks and
 /// agreement tests.
 pub fn fragment_ids_per_node<G: GraphAccess>(
@@ -115,23 +51,6 @@ pub fn fragment_ids_per_node<G: GraphAccess>(
         }
     }
     out
-}
-
-/// Parallel fragment computation: a thin wrapper over the cost-routed
-/// work-stealing engine ([`crate::parallel::fragment_ids_par`]), kept for
-/// source compatibility. Produces exactly the same fragment as
-/// [`fragment`] — neighborhoods are independent per (node, shape) pair and
-/// the id-triple union is order-free.
-pub fn fragment_par<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-    shapes: &[Shape],
-    workers: usize,
-) -> Graph {
-    materialize(
-        graph,
-        &crate::parallel::fragment_ids_par(schema, graph, shapes, workers),
-    )
 }
 
 /// The set of nodes conforming to a shape — a shape viewed as a unary query
@@ -296,8 +215,11 @@ mod tests {
         ];
         let schema = Schema::empty();
         let seq = fragment(&schema, &g, &shapes);
-        let par = fragment_par(&schema, &g, &shapes, 4);
-        assert_eq!(seq, par);
+        let (par, _) = Engine::new()
+            .threads(4)
+            .fragment(&schema, &g, &shapes)
+            .unwrap();
+        assert_eq!(seq, materialize(&g, &par));
     }
 
     #[test]

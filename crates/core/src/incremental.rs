@@ -55,19 +55,15 @@
 //! never half-invalidated.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use shapefrag_analyze::{impact_profiles, ContainmentMatrix, ImpactProfile};
-use shapefrag_govern::{Budget, CancelToken, EngineError, ExecCtx};
+use shapefrag_govern::{Budget, CancelToken, EngineError};
 use shapefrag_rdf::{ntriples, DeltaGraph, FrozenGraph, ParseError, TermId, Triple};
-use shapefrag_sched::{run, WorkUnit};
-use shapefrag_shacl::validator::{
-    ConformanceMemo, ContainmentIndex, Context, ValidationReport, Violation,
-};
-use shapefrag_shacl::{Nnf, Schema, Shape};
+use shapefrag_shacl::validator::{ConformanceMemo, ContainmentIndex, ValidationReport, Violation};
+use shapefrag_shacl::Schema;
 
-use crate::parallel::{chunk_len, spans_for, unit_cost, Span};
+use crate::engine::{resolve_targets, Engine};
 
 /// One edit: add or remove a single triple. Adding a triple that is
 /// already present (or removing one that is absent) is a no-op.
@@ -160,7 +156,7 @@ enum Impact {
 /// report per definition, and the shared conformance memo.
 ///
 /// The maintained report is **bit-identical** to
-/// [`shapefrag_shacl::validate_batch`] run from scratch on the overlay:
+/// [`Engine::validate`] run from scratch on the overlay:
 /// same `checked` count, same violations in the same
 /// (definition-major, target-minor) order.
 pub struct IncrementalValidator {
@@ -187,23 +183,22 @@ impl IncrementalValidator {
     /// Seeds the state with a full validation of `base` on `threads`
     /// workers.
     pub fn with_threads(schema: Arc<Schema>, base: Arc<FrozenGraph>, threads: usize) -> Self {
-        let delta = DeltaGraph::new(base);
-        let profiles = impact_profiles(schema.iter());
         let memo = Arc::new(ConformanceMemo::new());
         let containment = Arc::new(ContainmentMatrix::of_schema(&schema).to_index(&schema));
         memo.attach_containment(Arc::clone(&containment));
-        let empty = vec![Vec::new(); schema.len()];
-        let impacts: Vec<Impact> = (0..schema.len()).map(|_| Impact::All).collect();
-        let state = revalidate(&schema, &delta, &empty, &memo, &impacts, threads, None)
-            .expect("ungoverned revalidation cannot fault");
-        IncrementalValidator {
-            schema,
-            profiles,
-            delta,
+        let mut inc = IncrementalValidator {
+            profiles: impact_profiles(schema.iter()),
+            delta: DeltaGraph::new(base),
             memo,
             containment,
-            state,
-        }
+            state: vec![Vec::new(); schema.len()],
+            schema,
+        };
+        let impacts: Vec<Impact> = (0..inc.schema.len()).map(|_| Impact::All).collect();
+        inc.state = inc
+            .revalidate(&impacts, &Engine::new().threads(threads))
+            .expect("ungoverned revalidation cannot fault");
+        inc
     }
 
     /// The schema this state is maintained for.
@@ -309,7 +304,7 @@ impl IncrementalValidator {
     }
 
     /// Applies an edit batch and returns the incrementally-maintained
-    /// report (identical to a from-scratch `validate_batch` on the
+    /// report (identical to a from-scratch [`Engine::validate`] on the
     /// post-edit overlay).
     pub fn apply(&mut self, script: &EditScript) -> ValidationReport {
         self.apply_par(script, 1)
@@ -323,16 +318,9 @@ impl IncrementalValidator {
             return self.report();
         };
         let impacts = self.route_and_invalidate(&touched, &removed);
-        self.state = revalidate(
-            &self.schema,
-            &self.delta,
-            &self.state,
-            &self.memo,
-            &impacts,
-            threads,
-            None,
-        )
-        .expect("ungoverned revalidation cannot fault");
+        self.state = self
+            .revalidate(&impacts, &Engine::new().threads(threads))
+            .expect("ungoverned revalidation cannot fault");
         self.report()
     }
 
@@ -365,15 +353,11 @@ impl IncrementalValidator {
             return Ok(self.report());
         };
         let impacts = self.route_and_invalidate(&touched, &removed);
-        match revalidate(
-            &self.schema,
-            &self.delta,
-            &self.state,
-            &self.memo,
-            &impacts,
-            threads,
-            Some((budget, cancel)),
-        ) {
+        let mut engine = Engine::new().threads(threads).budget(budget);
+        if let Some(token) = cancel {
+            engine = engine.cancel(token);
+        }
+        match self.revalidate(&impacts, &engine) {
             Ok(state) => {
                 self.state = state;
                 Ok(self.report())
@@ -387,6 +371,45 @@ impl IncrementalValidator {
                 Err(e)
             }
         }
+    }
+
+    /// Recomputes every definition's target row over the overlay,
+    /// re-checking exactly the impact-routed `(shape, focus)` pairs on
+    /// `engine` and reusing every other bit from the current rows. Must be
+    /// called after memo invalidation; it re-binds the memo to the
+    /// post-edit fingerprint itself.
+    fn revalidate(
+        &self,
+        impacts: &[Impact],
+        engine: &Engine,
+    ) -> Result<Vec<Vec<(TermId, bool)>>, EngineError> {
+        self.memo.rebind(&self.schema, &self.delta);
+        let mut planner = engine.planner(&self.schema, &self.delta, &self.memo);
+        let (targets, _) = resolve_targets(&mut planner, &self.schema)?;
+        drop(planner);
+        let (entries, to_check): (Vec<_>, Vec<_>) = targets
+            .into_iter()
+            .zip(&self.state)
+            .zip(impacts)
+            .map(|((targets, old), impact)| plan_row(targets, old, impact))
+            .unzip();
+        let (bits, _) = engine.decide(&self.schema, &self.delta, &self.memo, &to_check)?;
+        Ok(entries
+            .into_iter()
+            .zip(bits)
+            .map(|(entries, bits)| {
+                let mut bits = bits.into_iter();
+                entries
+                    .into_iter()
+                    .map(|(node, reused)| {
+                        let bit = reused.unwrap_or_else(|| {
+                            bits.next().expect("one decision per unfilled entry")
+                        });
+                        (node, bit)
+                    })
+                    .collect()
+            })
+            .collect())
     }
 }
 
@@ -523,230 +546,17 @@ fn affected_nodes(
     seen
 }
 
-/// Per-definition revalidation plan: the recomputed target row with
-/// reused bits pre-filled, and the nodes that still need a conformance
-/// check (in row order).
-struct RowPlan<'a> {
-    shape: &'a Shape,
-    /// `(focus, Some(bit))` for reused entries, `(focus, None)` for
-    /// entries to be filled from `to_check` decisions, ascending by focus.
-    entries: Vec<(TermId, Option<bool>)>,
-    to_check: Vec<TermId>,
-}
-
-/// Recomputes every definition's target row over `delta`, re-checking
-/// exactly the impact-routed `(shape, focus)` pairs and reusing every
-/// other bit from `state`. Must be called after memo invalidation; it
-/// re-binds the memo to the post-edit fingerprint itself.
-fn revalidate(
-    schema: &Schema,
-    delta: &DeltaGraph,
-    state: &[Vec<(TermId, bool)>],
-    memo: &Arc<ConformanceMemo>,
-    impacts: &[Impact],
-    threads: usize,
-    governor: Option<(Budget, Option<&CancelToken>)>,
-) -> Result<Vec<Vec<(TermId, bool)>>, EngineError> {
-    memo.rebind(schema, delta);
-    let threads = threads.max(1);
-    if threads == 1 {
-        return revalidate_seq(schema, delta, state, memo, impacts, governor);
-    }
-    let attach = |budget: Budget, cancel: Option<&CancelToken>| {
-        let mut exec = ExecCtx::with_budget(budget);
-        if let Some(token) = cancel {
-            exec = exec.with_cancel(token);
-        }
-        exec
-    };
-    // Planning (impact filtering + target recomputation) runs
-    // sequentially under the full budget, like the parallel batch driver.
-    let mut plan_ctx = Context::with_memo(schema, delta, Arc::clone(memo));
-    if let Some((budget, cancel)) = governor {
-        plan_ctx = plan_ctx.with_exec(attach(budget, cancel));
-    }
-    // Route each re-check through `HasShape(name)` so the def-level bit
-    // lands in the memo under the definition's own id, where containment
-    // derivation can reach it.
-    let wrapped: Vec<Shape> = schema
-        .iter()
-        .map(|def| Shape::HasShape(def.name.clone()))
-        .collect();
-    let mut plans: Vec<RowPlan> = Vec::with_capacity(schema.len());
-    let mut units: Vec<WorkUnit<Span>> = Vec::new();
-    let mut seq = 0;
-    for (d, def) in schema.iter().enumerate() {
-        if governor.is_some() {
-            plan_ctx.exec().check_now()?;
-        }
-        let targets = plan_ctx.target_nodes(&def.target);
-        if let Some(e) = plan_ctx.take_fault() {
-            return Err(e);
-        }
-        let plan = plan_row(&wrapped[d], targets, &state[d], &impacts[d]);
-        let nnf = Nnf::from_shape(&def.shape);
-        let chunk = chunk_len(plan.to_check.len(), threads);
-        let mut spans = Vec::new();
-        spans_for(plan.to_check.len(), chunk, d, &mut seq, &mut spans);
-        for s in spans {
-            units.push(WorkUnit {
-                cost: unit_cost(schema, &nnf, s.hi - s.lo),
-                item: s,
-            });
-        }
-        plans.push(plan);
-    }
-    drop(plan_ctx);
-
-    /// Per-unit output: `(seq, def, lo, decisions)`.
-    type UnitBits = (usize, usize, usize, Vec<bool>);
-    let per_worker: Vec<Vec<UnitBits>>;
-    match governor {
-        None => {
-            (per_worker, _) = run(
-                units,
-                threads,
-                |_| {
-                    (
-                        Context::with_memo(schema, delta, Arc::clone(memo)),
-                        Vec::<UnitBits>::new(),
-                    )
-                },
-                |(ctx, out), span: Span| {
-                    let plan = &plans[span.def];
-                    let nodes = &plan.to_check[span.lo..span.hi];
-                    let decisions = ctx.conforms_all(nodes, plan.shape);
-                    out.push((span.seq, span.def, span.lo, decisions));
-                },
-                |_, (_, out)| out,
-            );
-        }
-        Some((budget, cancel)) => {
-            let worker_budget = budget.split(threads);
-            let fault: Mutex<Option<(usize, EngineError)>> = Mutex::new(None);
-            let abort = AtomicBool::new(false);
-            let record_fault = |seq: usize, e: EngineError| {
-                let mut slot = fault.lock().expect("fault slot poisoned");
-                match &*slot {
-                    Some((s, _)) if *s <= seq => {}
-                    _ => *slot = Some((seq, e)),
-                }
-                abort.store(true, Ordering::Release);
-            };
-            (per_worker, _) = run(
-                units,
-                threads,
-                |_| {
-                    (
-                        Context::with_memo(schema, delta, Arc::clone(memo))
-                            .with_exec(attach(worker_budget, cancel)),
-                        Vec::<UnitBits>::new(),
-                    )
-                },
-                |(ctx, out), span: Span| {
-                    if abort.load(Ordering::Acquire) {
-                        return;
-                    }
-                    let plan = &plans[span.def];
-                    let nodes = &plan.to_check[span.lo..span.hi];
-                    let decisions = ctx.conforms_all(nodes, plan.shape);
-                    if let Some(e) = ctx.take_fault() {
-                        record_fault(span.seq, e);
-                        return;
-                    }
-                    out.push((span.seq, span.def, span.lo, decisions));
-                },
-                |_, (_, out)| out,
-            );
-            if let Some((_, e)) = fault.into_inner().expect("fault slot poisoned") {
-                return Err(e);
-            }
-        }
-    }
-    // Stitch decisions back into the rows: per definition, order the unit
-    // outputs by their offset and splice them into the unfilled entries.
-    let mut per_def: Vec<Vec<(usize, Vec<bool>)>> = (0..plans.len()).map(|_| Vec::new()).collect();
-    for (_, def, lo, decisions) in per_worker.into_iter().flatten() {
-        per_def[def].push((lo, decisions));
-    }
-    let mut rows = Vec::with_capacity(plans.len());
-    for (plan, mut parts) in plans.into_iter().zip(per_def) {
-        parts.sort_by_key(|(lo, _)| *lo);
-        let mut bits = parts.into_iter().flat_map(|(_, d)| d);
-        let row = plan
-            .entries
-            .into_iter()
-            .map(|(node, reused)| {
-                let bit =
-                    reused.unwrap_or_else(|| bits.next().expect("one decision per unfilled entry"));
-                (node, bit)
-            })
-            .collect();
-        rows.push(row);
-    }
-    Ok(rows)
-}
-
-fn revalidate_seq(
-    schema: &Schema,
-    delta: &DeltaGraph,
-    state: &[Vec<(TermId, bool)>],
-    memo: &Arc<ConformanceMemo>,
-    impacts: &[Impact],
-    governor: Option<(Budget, Option<&CancelToken>)>,
-) -> Result<Vec<Vec<(TermId, bool)>>, EngineError> {
-    let mut ctx = Context::with_memo(schema, delta, Arc::clone(memo));
-    if let Some((budget, cancel)) = governor {
-        let mut exec = ExecCtx::with_budget(budget);
-        if let Some(token) = cancel {
-            exec = exec.with_cancel(token);
-        }
-        ctx = ctx.with_exec(exec);
-    }
-    // Same `HasShape(name)` routing as the parallel path: def-level bits
-    // must land under the definition's id for containment derivation.
-    let wrapped: Vec<Shape> = schema
-        .iter()
-        .map(|def| Shape::HasShape(def.name.clone()))
-        .collect();
-    let mut rows = Vec::with_capacity(schema.len());
-    for (d, def) in schema.iter().enumerate() {
-        if governor.is_some() {
-            ctx.exec().check_now()?;
-        }
-        let targets = ctx.target_nodes(&def.target);
-        if let Some(e) = ctx.take_fault() {
-            return Err(e);
-        }
-        let plan = plan_row(&wrapped[d], targets, &state[d], &impacts[d]);
-        let decisions = ctx.conforms_all(&plan.to_check, plan.shape);
-        if let Some(e) = ctx.take_fault() {
-            return Err(e);
-        }
-        let mut bits = decisions.into_iter();
-        let row = plan
-            .entries
-            .into_iter()
-            .map(|(node, reused)| {
-                let bit =
-                    reused.unwrap_or_else(|| bits.next().expect("one decision per unfilled entry"));
-                (node, bit)
-            })
-            .collect();
-        rows.push(row);
-    }
-    Ok(rows)
-}
-
-/// Splits a recomputed target set into reused bits and pending checks: a
-/// node must be re-checked when its definition is impact-routed to it, or
-/// when it was not in the previous row at all.
-fn plan_row<'a>(
-    shape: &'a Shape,
-    targets: BTreeSet<TermId>,
+/// Splits a recomputed target row into entries — `(focus, Some(bit))` for
+/// reused bits, `(focus, None)` for pending ones, ascending by focus — and
+/// the nodes still to check, in row order. A node must be re-checked when
+/// its definition is impact-routed to it, or when it was not in the
+/// previous row at all.
+#[allow(clippy::type_complexity)]
+fn plan_row(
+    targets: Vec<TermId>,
     old: &[(TermId, bool)],
     impact: &Impact,
-) -> RowPlan<'a> {
+) -> (Vec<(TermId, Option<bool>)>, Vec<TermId>) {
     let mut entries = Vec::with_capacity(targets.len());
     let mut to_check = Vec::new();
     for node in targets {
@@ -763,18 +573,19 @@ fn plan_row<'a>(
         }
         entries.push((node, reused));
     }
-    RowPlan {
-        shape,
-        entries,
-        to_check,
-    }
+    (entries, to_check)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shapefrag_rdf::GraphAccess;
     use shapefrag_rdf::{Graph, Iri, Term};
-    use shapefrag_shacl::{validate_batch, PathExpr, ShapeDef};
+    use shapefrag_shacl::{PathExpr, Shape, ShapeDef};
+
+    fn validate_batch<G: GraphAccess>(schema: &Schema, graph: &G) -> ValidationReport {
+        Engine::new().validate(schema, graph).unwrap().0
+    }
 
     fn iri(n: &str) -> Iri {
         Iri::new(format!("http://e/{n}"))
@@ -812,7 +623,7 @@ mod tests {
     }
 
     #[test]
-    fn seed_report_matches_validate_batch() {
+    fn seed_report_matches_from_scratch() {
         let schema = person_schema();
         let g = seed_graph();
         let inc = validator(&schema, &g);

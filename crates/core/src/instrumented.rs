@@ -20,17 +20,14 @@
 //!   API consumers.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
 
-use shapefrag_analyze::{shape_shares_work, Diagnostic, SimplifyLevel};
 use shapefrag_rdf::{Graph, GraphAccess, Term, TermId};
 use shapefrag_shacl::path::PathExpr;
-use shapefrag_shacl::validator::{ConformanceMemo, Context, ValidationReport, Violation};
+use shapefrag_shacl::validator::{Context, ValidationReport, Violation};
 use shapefrag_shacl::{Nnf, Schema, Shape};
 
-use crate::neighborhood::{
-    collect_neighborhood_many, conforms_and_collect, materialize, neighborhood_nnf_ids, IdTriples,
-};
+use crate::engine::Engine;
+use crate::neighborhood::{conforms_and_collect, materialize, neighborhood_nnf_ids, IdTriples};
 
 /// The fragment collected by [`validate_extract_fragment`], kept as interned
 /// id triples (the cheap form an instrumented validator accumulates);
@@ -201,38 +198,18 @@ impl TargetEvidence {
     }
 }
 
-/// Parallel validation: a thin wrapper over the cost-routed work-stealing
-/// engine ([`crate::parallel::validate_batch_par`]), kept for source
-/// compatibility. Produces exactly the report of
-/// [`shapefrag_shacl::validator::validate`], with violations in a
-/// canonical `(shape, focus)` order.
-pub fn validate_par<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-    workers: usize,
-) -> ValidationReport {
-    let mut report = crate::parallel::validate_batch_par(schema, graph, workers);
-    report
-        .violations
-        .sort_by(|a, b| (&a.shape, &a.focus).cmp(&(&b.shape, &b.focus)));
-    report
-}
-
 /// Validates and, in the same pass, extracts the schema's shape fragment
 /// `Frag(G, H)` (the union of `B(v, φ ∧ τ)` over all conforming target
 /// nodes). This is the configuration the Figure 1 overhead experiment
-/// measures against plain validation.
-///
-/// Runs set-at-a-time: each definition's targets are decided in one
-/// [`Context::conforms_all_nnf`] batch over a fresh shared memo and the
-/// conforming nodes' neighborhoods are collected by the batched Table 2
-/// collector. Produces exactly the report and fragment of
-/// [`validate_extract_fragment_per_node`].
+/// measures against plain validation: a one-thread [`Engine::extract`].
 pub fn validate_extract_fragment<G: GraphAccess>(
     schema: &Schema,
     graph: &G,
 ) -> (ValidationReport, SchemaFragment) {
-    validate_extract_fragment_with_memo(schema, graph, Arc::new(ConformanceMemo::new()))
+    let (report, fragment, _) = Engine::new()
+        .extract(schema, graph)
+        .expect("an unbounded engine cannot fault");
+    (report, fragment)
 }
 
 /// Below this many target nodes per definition, the single-pass per-node
@@ -240,73 +217,6 @@ pub fn validate_extract_fragment<G: GraphAccess>(
 /// (decide-all, then re-evaluate the paths to collect): the multi-source
 /// kernel's sharing cannot amortize evaluating every path twice.
 pub(crate) const BATCH_MIN_TARGETS: usize = 16;
-
-/// Like [`validate_extract_fragment`], but first runs the static
-/// analyzer's fragment-level simplification over the schema
-/// ([`shapefrag_analyze::simplify`]) and validates the simplified schema.
-/// The rewrites are semantics-preserving for both the report and the
-/// extracted fragment (the fragment-level polarity gates only apply
-/// rewrites that cannot change any collected neighborhood), so the result
-/// agrees with [`validate_extract_fragment`] on the original schema. The
-/// diagnostics gathered during simplification are returned alongside.
-pub fn validate_extract_fragment_simplified<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-) -> (ValidationReport, SchemaFragment, Vec<Diagnostic>) {
-    let (simplified, diags) = shapefrag_analyze::simplify(schema, SimplifyLevel::Fragment);
-    let (report, fragment) = validate_extract_fragment(&simplified, graph);
-    (report, fragment, diags)
-}
-
-pub fn validate_extract_fragment_with_memo<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-    memo: Arc<ConformanceMemo>,
-) -> (ValidationReport, SchemaFragment) {
-    let mut ctx = Context::with_memo(schema, graph, memo);
-    let mut report = ValidationReport::default();
-    let mut all = IdTriples::default();
-    let mut journal: Vec<(TermId, TermId, TermId)> = Vec::new();
-    for def in schema.iter() {
-        let shape_nnf = Nnf::from_shape(&def.shape);
-        let targets: Vec<TermId> = ctx.target_nodes(&def.target).into_iter().collect();
-        let evidence = TargetEvidence::analyze(&mut ctx, &def.target);
-        report.checked += targets.len();
-        if targets.len() < BATCH_MIN_TARGETS || !shape_shares_work(schema, &shape_nnf) {
-            // Small target set, or a shape the batch kernels cannot share
-            // any work on: one instrumented traversal per node, producing
-            // the identical verdicts and union.
-            for &node in &targets {
-                journal.clear();
-                if conforms_and_collect(&mut ctx, node, &shape_nnf, &mut journal) {
-                    all.extend(journal.iter().copied());
-                    evidence.collect(&mut ctx, node, &mut all);
-                } else {
-                    report.violations.push(Violation {
-                        shape: def.name.clone(),
-                        focus: graph.term(node).clone(),
-                    });
-                }
-            }
-            continue;
-        }
-        let decisions = ctx.conforms_all_nnf(&targets, &shape_nnf);
-        let mut conforming: Vec<TermId> = Vec::with_capacity(targets.len());
-        for (node, ok) in targets.iter().zip(decisions) {
-            if ok {
-                conforming.push(*node);
-                evidence.collect(&mut ctx, *node, &mut all);
-            } else {
-                report.violations.push(Violation {
-                    shape: def.name.clone(),
-                    focus: graph.term(*node).clone(),
-                });
-            }
-        }
-        collect_neighborhood_many(&mut ctx, &conforming, &shape_nnf, &mut all);
-    }
-    (report, SchemaFragment { triples: all })
-}
 
 /// The per-node reference implementation of [`validate_extract_fragment`]:
 /// one instrumented [`conforms_and_collect`] traversal per (definition,
@@ -321,13 +231,13 @@ pub fn validate_extract_fragment_per_node<G: GraphAccess>(
     let mut all = IdTriples::default();
     let mut journal: Vec<(TermId, TermId, TermId)> = Vec::new();
     for def in schema.iter() {
-        let shape_nnf = Nnf::from_shape(&def.shape);
+        let shape_nnf = schema.def_nnf(&def.name);
         let targets = ctx.target_nodes(&def.target);
         let evidence = TargetEvidence::analyze(&mut ctx, &def.target);
         for node in targets {
             report.checked += 1;
             journal.clear();
-            if conforms_and_collect(&mut ctx, node, &shape_nnf, &mut journal) {
+            if conforms_and_collect(&mut ctx, node, shape_nnf, &mut journal) {
                 all.extend(journal.iter().copied());
                 evidence.collect(&mut ctx, node, &mut all);
             } else {
@@ -350,13 +260,13 @@ pub fn validate_with_provenance<G: GraphAccess>(schema: &Schema, graph: &G) -> P
     let mut neighborhoods = BTreeMap::new();
     let mut all = IdTriples::default();
     for def in schema.iter() {
-        let shape_nnf = Nnf::from_shape(&def.shape);
+        let shape_nnf = schema.def_nnf(&def.name);
         let targets = ctx.target_nodes(&def.target);
         let evidence = TargetEvidence::analyze(&mut ctx, &def.target);
         for node in targets {
             report.checked += 1;
             if ctx.conforms(node, &def.shape) {
-                let mut ids = neighborhood_nnf_ids(&mut ctx, node, &shape_nnf);
+                let mut ids = neighborhood_nnf_ids(&mut ctx, node, shape_nnf);
                 evidence.collect(&mut ctx, node, &mut ids);
                 all.extend(ids.iter().copied());
                 neighborhoods.insert(
@@ -550,12 +460,12 @@ mod tests {
             t("p2", "type", "Paper"),
             t("p2", "title", "x"),
         ]);
-        let mut sequential = validate(&schema, &g);
-        sequential
-            .violations
-            .sort_by(|a, b| (&a.shape, &a.focus).cmp(&(&b.shape, &b.focus)));
+        let sequential = validate(&schema, &g);
         for workers in [1, 2, 4] {
-            let parallel = validate_par(&schema, &g, workers);
+            let (parallel, _) = Engine::new()
+                .threads(workers)
+                .validate(&schema, &g)
+                .unwrap();
             assert_eq!(sequential, parallel, "workers = {workers}");
         }
     }

@@ -58,6 +58,9 @@ pub struct RunStats {
     /// `(shape, node)` conformance answers derived through containment
     /// edges instead of evaluation. Filled by the drivers.
     pub checks_derived: u64,
+    /// Containment lookups that found no derivable answer, so the pair
+    /// was evaluated. Filled by the drivers.
+    pub derive_misses: u64,
     /// Target lists reused from an earlier definition with a syntactically
     /// identical target shape, instead of re-resolving. Filled by the
     /// drivers.

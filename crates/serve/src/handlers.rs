@@ -17,12 +17,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use shapefrag_analyze::{analyze_schema, has_deny, to_json as diags_to_json};
-use shapefrag_core::{fragment_governed, EditScript, IncrementalValidator};
+use shapefrag_core::neighborhood::materialize;
+use shapefrag_core::{EditScript, Engine, IncrementalValidator};
 use shapefrag_govern::{Budget, EngineError, ErrorCode, ExecCtx};
 use shapefrag_rdf::{ntriples, turtle, Graph, Term};
-use shapefrag_shacl::validator::{
-    validate_batch_containment_governed, ConformanceMemo, ValidationReport,
-};
+use shapefrag_shacl::validator::ValidationReport;
 use shapefrag_shacl::Shape;
 use shapefrag_sparql::eval::{eval_select_governed, Binding, EvalConfig};
 use shapefrag_sparql::parser::parse_select;
@@ -119,6 +118,13 @@ pub fn exec_from_headers(req: &Request, cfg: &ServeConfig) -> Result<ExecCtx, Re
     Ok(ExecCtx::with_budget(budget_from_headers(req, cfg)?))
 }
 
+/// An engine under the request's budget and the server's shutdown token.
+fn engine_from_headers(state: &ServerState, req: &Request) -> Result<Engine, Response> {
+    Ok(Engine::new()
+        .budget(budget_from_headers(req, &state.cfg)?)
+        .cancel(&state.cancel))
+}
+
 /// Parses a posted RDF payload as Turtle or N-Triples, honoring the
 /// `Content-Type` header (defaults to Turtle, which accepts the N-Triples
 /// subset for untyped clients).
@@ -177,50 +183,32 @@ fn report_json(report: &ValidationReport, epoch: u64) -> String {
 
 /// `POST /validate` — empty body validates the resident snapshot; a
 /// non-empty body is parsed as a data graph and validated against the
-/// resident schema (one resident process, many datasets). Runs the
-/// containment-aware driver: the snapshot's subsumption index lets
-/// equivalent definitions share conformance bits (the report stays
-/// bit-identical; `/stats` counts the derivations and skips).
+/// resident schema (one resident process, many datasets). The engine runs
+/// with the snapshot's containment index: equivalent definitions share
+/// conformance bits (the report stays bit-identical; `/stats` counts the
+/// derivations and skips).
 fn handle_validate(state: &ServerState, req: &Request, snapshot: &Arc<Snapshot>) -> Response {
-    let exec = match exec_from_headers(req, &state.cfg) {
-        Ok(e) => e.with_cancel(&state.cancel),
+    let engine = match engine_from_headers(state, req) {
+        Ok(e) => e.containment(Arc::clone(&snapshot.containment)),
         Err(resp) => return resp,
     };
-    let memo = Arc::new(ConformanceMemo::new());
-    memo.attach_containment(Arc::clone(&snapshot.containment));
     let result = if req.body.is_empty() {
-        with_view!(snapshot, |g| validate_batch_containment_governed(
-            &snapshot.schema,
-            g,
-            Arc::clone(&memo),
-            exec
-        ))
+        with_view!(snapshot, |g| engine.validate(&snapshot.schema, g))
     } else {
         match parse_body_graph(req) {
-            Ok(graph) => validate_batch_containment_governed(
-                &snapshot.schema,
-                &graph.freeze(),
-                Arc::clone(&memo),
-                exec,
-            ),
+            Ok(graph) => engine.validate(&snapshot.schema, &graph.freeze()),
             Err(e) => return engine_error_response(&e),
         }
     };
     match result {
-        Ok((report, skipped)) => {
-            let (hits, misses) = memo.containment_counters();
-            state
-                .stats
-                .containment_hits
-                .fetch_add(hits, Ordering::Relaxed);
-            state
-                .stats
-                .containment_misses
-                .fetch_add(misses, Ordering::Relaxed);
-            state
-                .stats
-                .shapes_skipped
-                .fetch_add(skipped, Ordering::Relaxed);
+        Ok((report, stats)) => {
+            for (counter, n) in [
+                (&state.stats.containment_hits, stats.checks_derived),
+                (&state.stats.containment_misses, stats.derive_misses),
+                (&state.stats.shapes_skipped, stats.shapes_skipped),
+            ] {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
             if req
                 .header("accept")
                 .is_some_and(|a| a.contains("text/turtle"))
@@ -324,8 +312,8 @@ fn fragment_representative(snapshot: &Snapshot, name: &Term) -> Term {
 /// equivalent definition's is answered from the cached bytes
 /// (`x-fragment-cache: hit`), and both count into `/stats`.
 fn handle_fragment(state: &ServerState, req: &Request, snapshot: &Arc<Snapshot>) -> Response {
-    let exec = match exec_from_headers(req, &state.cfg) {
-        Ok(e) => e.with_cancel(&state.cancel),
+    let engine = match engine_from_headers(state, req) {
+        Ok(e) => e,
         Err(resp) => return resp,
     };
     let mut names: Vec<Term> = Vec::new();
@@ -370,12 +358,10 @@ fn handle_fragment(state: &ServerState, req: &Request, snapshot: &Arc<Snapshot>)
             .containment_misses
             .fetch_add(1, Ordering::Relaxed);
     }
-    match with_view!(snapshot, |g| fragment_governed(
-        &snapshot.schema,
-        g,
-        &shapes,
-        exec
-    )) {
+    match with_view!(snapshot, |g| engine
+        .fragment(&snapshot.schema, g, &shapes)
+        .map(|(ids, _)| materialize(g, &ids)))
+    {
         Ok(fragment) => {
             let body = ntriples::serialize(&fragment);
             if let Some(rep) = rep {

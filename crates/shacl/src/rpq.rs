@@ -171,7 +171,7 @@ impl FrontierMatrix {
 }
 
 /// Per-worker scratch space for the multi-source kernels: the forward and
-/// backward [`FrontierMatrix`] pair plus the worklist and bitset buffers
+/// backward `FrontierMatrix` pair plus the worklist and bitset buffers
 /// the BFS passes need. Owned by a [`PathCache`] (one per context, one
 /// context per worker thread), so chunk after chunk reuses the same
 /// allocations and the frontiers stay pre-sized to the CSR.

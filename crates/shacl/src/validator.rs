@@ -527,7 +527,7 @@ pub fn schema_fingerprint(schema: &Schema) -> u64 {
 /// return `Result`, so resource faults are *sticky*: the first
 /// [`EngineError`] is recorded, every subsequent primitive short-circuits
 /// (returning `false`/empty to unwind quickly), and governed entry points
-/// ([`validate_governed`], [`validate_batch_governed`]) surface the fault as
+/// (such as [`validate_governed`]) surface the fault as
 /// an `Err` instead of a report.
 pub struct Context<'a, G: GraphAccess = Graph> {
     pub schema: &'a Schema,
@@ -1470,164 +1470,11 @@ impl fmt::Display for ValidationReport {
 }
 
 /// Validates `graph` against `schema`: for every definition `(s, φ, τ)` and
-/// every node `a` with `H, G, a ⊨ τ`, checks `H, G, a ⊨ φ`.
+/// every node `a` with `H, G, a ⊨ τ`, checks `H, G, a ⊨ φ`. One node at a
+/// time: the reference the set-at-a-time engine is checked against.
 pub fn validate<G: GraphAccess>(schema: &Schema, graph: &G) -> ValidationReport {
-    let mut ctx = Context::new(schema, graph);
-    let mut report = ValidationReport::default();
-    for def in schema.iter() {
-        let targets = ctx.target_nodes(&def.target);
-        for node in targets {
-            report.checked += 1;
-            if !ctx.conforms(node, &def.shape) {
-                report.violations.push(Violation {
-                    shape: def.name.clone(),
-                    focus: graph.term(node).clone(),
-                });
-            }
-        }
-    }
-    report
-}
-
-/// Set-at-a-time [`validate`]: same report, but each definition's targets
-/// are decided in one [`Context::conforms_all`] batch with a fresh shared
-/// memo, so `hasShape` sub-shapes are checked once per node across all
-/// referencing targets and path work is shared via the multi-source kernel.
-pub fn validate_batch<G: GraphAccess>(schema: &Schema, graph: &G) -> ValidationReport {
-    validate_batch_with_memo(schema, graph, Arc::new(ConformanceMemo::new()))
-}
-
-/// [`validate_batch`] against a caller-provided memo (which must belong to
-/// this `(graph, schema)` pair); lets parallel drivers share decisions
-/// across worker threads.
-pub fn validate_batch_with_memo<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-    memo: Arc<ConformanceMemo>,
-) -> ValidationReport {
-    let mut ctx = Context::with_memo(schema, graph, memo);
-    let mut report = ValidationReport::default();
-    for def in schema.iter() {
-        let targets: Vec<TermId> = ctx.target_nodes(&def.target).into_iter().collect();
-        // Route the top-level check through the *named* path so the
-        // definition's own bits land in the memo (`def(name)` defaults to
-        // the definition's shape, so the answers are identical). Named
-        // bits are what makes subsumption derivation and cross-def reuse
-        // possible.
-        let shape = Shape::HasShape(def.name.clone());
-        let conforming = ctx.conforms_all(&targets, &shape);
-        report.checked += targets.len();
-        for (node, ok) in targets.iter().zip(conforming) {
-            if !ok {
-                report.violations.push(Violation {
-                    shape: def.name.clone(),
-                    focus: graph.term(*node).clone(),
-                });
-            }
-        }
-    }
-    report
-}
-
-/// Which definitions a containment-aware driver can settle without any
-/// shape-body evaluation: definition `i` is covered when an earlier
-/// definition with a provably *equivalent* shape and a syntactically
-/// identical target has already run, so every one of `i`'s target bits
-/// derives from the earlier definition's memo entries.
-fn covered_defs(schema: &Schema, index: Option<&ContainmentIndex>) -> Vec<bool> {
-    let defs: Vec<&crate::schema::ShapeDef> = schema.iter().collect();
-    let mut covered = vec![false; defs.len()];
-    let Some(index) = index else {
-        return covered;
-    };
-    for i in 0..defs.len() {
-        debug_assert_eq!(schema.name_id(&defs[i].name), Some(i as u32));
-        for j in 0..i {
-            if !covered[j]
-                && defs[i].target == defs[j].target
-                && index.supers_of(i as u32).contains(&(j as u32))
-                && index.subs_of(i as u32).contains(&(j as u32))
-            {
-                covered[i] = true;
-                break;
-            }
-        }
-    }
-    covered
-}
-
-/// [`validate_batch_with_memo`] with subsumption-keyed reuse: the memo's
-/// attached [`ContainmentIndex`] (see
-/// [`ConformanceMemo::attach_containment`]) lets decided bits of related
-/// shapes answer top-level checks without evaluation. Returns the report —
-/// bit-identical to the other drivers' — plus the number of definitions
-/// that needed no shape-body evaluation at all (fully derived from an
-/// equivalent definition's bits).
-pub fn validate_batch_containment<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-    memo: Arc<ConformanceMemo>,
-) -> (ValidationReport, u64) {
-    let covered = covered_defs(schema, memo.containment().as_deref());
-    let mut ctx = Context::with_memo(schema, graph, memo);
-    let mut report = ValidationReport::default();
-    let mut skipped = 0u64;
-    for (i, def) in schema.iter().enumerate() {
-        let targets: Vec<TermId> = ctx.target_nodes(&def.target).into_iter().collect();
-        let shape = Shape::HasShape(def.name.clone());
-        let conforming = ctx.conforms_all(&targets, &shape);
-        report.checked += targets.len();
-        if covered[i] {
-            skipped += 1;
-        }
-        for (node, ok) in targets.iter().zip(conforming) {
-            if !ok {
-                report.violations.push(Violation {
-                    shape: def.name.clone(),
-                    focus: graph.term(*node).clone(),
-                });
-            }
-        }
-    }
-    (report, skipped)
-}
-
-/// Resource-governed [`validate_batch_containment`].
-pub fn validate_batch_containment_governed<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-    memo: Arc<ConformanceMemo>,
-    exec: ExecCtx,
-) -> Result<(ValidationReport, u64), EngineError> {
-    let covered = covered_defs(schema, memo.containment().as_deref());
-    let mut ctx = Context::with_memo(schema, graph, memo).with_exec(exec);
-    let mut report = ValidationReport::default();
-    let mut skipped = 0u64;
-    for (i, def) in schema.iter().enumerate() {
-        ctx.exec.check_now()?;
-        let targets: Vec<TermId> = ctx.target_nodes(&def.target).into_iter().collect();
-        if let Some(e) = ctx.take_fault() {
-            return Err(e);
-        }
-        let shape = Shape::HasShape(def.name.clone());
-        let conforming = ctx.conforms_all(&targets, &shape);
-        if let Some(e) = ctx.take_fault() {
-            return Err(e);
-        }
-        report.checked += targets.len();
-        if covered[i] {
-            skipped += 1;
-        }
-        for (node, ok) in targets.iter().zip(conforming) {
-            if !ok {
-                report.violations.push(Violation {
-                    shape: def.name.clone(),
-                    focus: graph.term(*node).clone(),
-                });
-            }
-        }
-    }
-    Ok((report, skipped))
+    validate_governed(schema, graph, ExecCtx::unbounded())
+        .expect("an unbounded context cannot fault")
 }
 
 /// Resource-governed [`validate`]: same report on success, or the first
@@ -1663,39 +1510,6 @@ pub fn validate_governed<G: GraphAccess>(
     Ok(report)
 }
 
-/// Resource-governed [`validate_batch`]: the set-at-a-time driver under a
-/// deadline/budget/cancellation governor.
-pub fn validate_batch_governed<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-    exec: ExecCtx,
-) -> Result<ValidationReport, EngineError> {
-    let mut ctx =
-        Context::with_memo(schema, graph, Arc::new(ConformanceMemo::new())).with_exec(exec);
-    let mut report = ValidationReport::default();
-    for def in schema.iter() {
-        ctx.exec.check_now()?;
-        let targets: Vec<TermId> = ctx.target_nodes(&def.target).into_iter().collect();
-        if let Some(e) = ctx.take_fault() {
-            return Err(e);
-        }
-        let conforming = ctx.conforms_all(&targets, &def.shape);
-        if let Some(e) = ctx.take_fault() {
-            return Err(e);
-        }
-        report.checked += targets.len();
-        for (node, ok) in targets.iter().zip(conforming) {
-            if !ok {
-                report.violations.push(Violation {
-                    shape: def.name.clone(),
-                    focus: graph.term(*node).clone(),
-                });
-            }
-        }
-    }
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1703,6 +1517,57 @@ mod tests {
     use crate::schema::ShapeDef;
     use shapefrag_rdf::vocab::rdf;
     use shapefrag_rdf::{Iri, Literal, Triple};
+
+    /// The set-at-a-time loop the engine runs on one thread: each
+    /// definition's targets decided in one `hasShape(name)` batch over
+    /// `memo`, under `exec`.
+    fn batch<G: GraphAccess>(
+        schema: &Schema,
+        graph: &G,
+        memo: Arc<ConformanceMemo>,
+        exec: ExecCtx,
+    ) -> Result<ValidationReport, EngineError> {
+        let mut ctx = Context::with_memo(schema, graph, memo).with_exec(exec);
+        let mut report = ValidationReport::default();
+        for def in schema.iter() {
+            ctx.exec.check_now()?;
+            let targets: Vec<TermId> = ctx.target_nodes(&def.target).into_iter().collect();
+            let decided = ctx.conforms_all(&targets, &Shape::HasShape(def.name.clone()));
+            if let Some(e) = ctx.take_fault() {
+                return Err(e);
+            }
+            report.checked += targets.len();
+            for (node, ok) in targets.iter().zip(decided) {
+                if !ok {
+                    report.violations.push(Violation {
+                        shape: def.name.clone(),
+                        focus: graph.term(*node).clone(),
+                    });
+                }
+            }
+        }
+        Ok(report)
+    }
+
+    fn validate_batch_with_memo<G: GraphAccess>(
+        schema: &Schema,
+        graph: &G,
+        memo: Arc<ConformanceMemo>,
+    ) -> ValidationReport {
+        batch(schema, graph, memo, ExecCtx::unbounded()).unwrap()
+    }
+
+    fn validate_batch<G: GraphAccess>(schema: &Schema, graph: &G) -> ValidationReport {
+        validate_batch_with_memo(schema, graph, Arc::new(ConformanceMemo::new()))
+    }
+
+    fn validate_batch_governed<G: GraphAccess>(
+        schema: &Schema,
+        graph: &G,
+        exec: ExecCtx,
+    ) -> Result<ValidationReport, EngineError> {
+        batch(schema, graph, Arc::new(ConformanceMemo::new()), exec)
+    }
 
     fn iri(n: &str) -> Iri {
         Iri::new(format!("http://e/{n}"))
@@ -2129,7 +1994,7 @@ mod tests {
     }
 
     #[test]
-    fn containment_index_derives_bits_and_skips_equivalent_defs() {
+    fn containment_index_derives_bits_and_refuses_foreign_schemas() {
         // A ≥1 q (loose), B ≥2 q (strict, ⊑ A), C duplicates A. Dense ids
         // follow name order: A=0, B=1, C=2.
         let mk = |n: u32| Shape::geq(n, p("q"), Shape::True);
@@ -2159,9 +2024,7 @@ mod tests {
         assert_eq!(index.related_closure(0), vec![0, 1, 2]);
         let memo = Arc::new(ConformanceMemo::new());
         assert!(memo.attach_containment(Arc::clone(&index)));
-        let (report, skipped) = validate_batch_containment(&schema, &g, Arc::clone(&memo));
-        // C is fully derived from A's bits (equivalent shape, same target).
-        assert_eq!(skipped, 1);
+        let report = validate_batch_with_memo(&schema, &g, Arc::clone(&memo));
         let (hits, _) = memo.containment_counters();
         assert!(hits > 0, "expected derived answers, got none");
         // Bit-identical to the plain sequential driver.

@@ -42,15 +42,12 @@ use shape_fragments::analyze::{
     analyze_defs, analyze_schema, containment_diagnostics, has_deny, to_json, ContainmentMatrix,
     Diagnostic,
 };
-use shape_fragments::core::{
-    explain, fragment_par, schema_fragment, schema_fragment_governed, to_sparql,
-    validate_batch_par, validate_batch_par_governed, EditScript, IncrementalValidator,
-};
-use shape_fragments::govern::{Budget, EngineError, ExecCtx};
+use shape_fragments::core::neighborhood::materialize;
+use shape_fragments::core::{explain, to_sparql, EditScript, Engine, IncrementalValidator};
+use shape_fragments::govern::{Budget, EngineError};
 use shape_fragments::rdf::{ntriples, turtle, Graph, Term};
 use shape_fragments::serve::{ServeConfig, Server, SnapshotSource};
 use shape_fragments::shacl::parser::{parse_shape_defs_turtle, parse_shapes_turtle_with_spans};
-use shape_fragments::shacl::validator::validate;
 use shape_fragments::shacl::{Schema, Shape};
 
 fn main() -> ExitCode {
@@ -269,21 +266,14 @@ fn cmd_validate(args: &[String]) -> Result<ExitCode, CliError> {
     let as_ttl = rest.iter().any(|a| a == "--report-ttl");
     let schema = load_schema(shapes_path)?;
     let data = load_data(data_path)?;
-    // Validation is read-only: run it over the CSR snapshot. With more
-    // than one worker, the cost-routed work-stealing engine produces the
-    // identical report.
-    let frozen = data.freeze();
-    let report = match budget {
-        // The governor routes through the governed engines; a trip exits
-        // with the resource-fault code instead of a partial report.
-        Some(budget) => {
-            match validate_batch_par_governed(&schema, &frozen, threads, budget, None) {
-                Ok(report) => report,
-                Err(e) => return Ok(resource_fault_exit(&e)),
-            }
-        }
-        None if threads > 1 => validate_batch_par(&schema, &frozen, threads),
-        None => validate(&schema, &frozen),
+    // Validation is read-only: run it over the CSR snapshot. A governor
+    // trip exits with the resource-fault code instead of a partial report.
+    let engine = Engine::new()
+        .threads(threads)
+        .budget(budget.unwrap_or_default());
+    let report = match engine.validate(&schema, &data.freeze()) {
+        Ok((report, _)) => report,
+        Err(e) => return Ok(resource_fault_exit(&e)),
     };
     if as_ttl {
         let graph = report.to_graph();
@@ -309,20 +299,16 @@ fn cmd_fragment(args: &[String]) -> Result<ExitCode, CliError> {
     };
     let schema = load_schema(shapes_path)?;
     let data = load_data(data_path)?;
-    // Extraction reads the graph many times over: freeze once up front.
+    // Extraction reads the graph many times over: freeze once up front. A
+    // governor trip exits with the resource-fault code instead of a
+    // truncated fragment.
     let frozen = data.freeze();
-    let fragment = match budget {
-        // Governed extraction runs the sequential governed collector
-        // (extraction has no governed parallel driver yet); a trip exits
-        // with the resource-fault code instead of a truncated fragment.
-        Some(budget) => {
-            match schema_fragment_governed(&schema, &frozen, ExecCtx::with_budget(budget)) {
-                Ok(fragment) => fragment,
-                Err(e) => return Ok(resource_fault_exit(&e)),
-            }
-        }
-        None if threads > 1 => fragment_par(&schema, &frozen, &schema.request_shapes(), threads),
-        None => schema_fragment(&schema, &frozen),
+    let engine = Engine::new()
+        .threads(threads)
+        .budget(budget.unwrap_or_default());
+    let fragment = match engine.fragment(&schema, &frozen, &schema.request_shapes()) {
+        Ok((ids, _)) => materialize(&frozen, &ids),
+        Err(e) => return Ok(resource_fault_exit(&e)),
     };
     eprintln!(
         "fragment: {} of {} triples ({} shape definitions)",

@@ -343,3 +343,39 @@ fn bad_governance_flag_values_are_usage_errors() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--deadline-ms"));
 }
+
+#[test]
+fn parallel_fragment_under_generous_budget_matches_ungoverned() {
+    let (_dir, shapes, data) = fixtures();
+    let (shapes, data) = (shapes.to_str().unwrap(), data.to_str().unwrap());
+    let plain = shapefrag(&["fragment", shapes, data]);
+    assert!(plain.status.success());
+    let governed = shapefrag(&[
+        "fragment",
+        shapes,
+        data,
+        "--threads",
+        "2",
+        "--budget-steps",
+        "100000000",
+    ]);
+    assert!(governed.status.success());
+    assert!(!plain.stdout.is_empty());
+    assert_eq!(plain.stdout, governed.stdout);
+}
+
+#[test]
+fn parallel_fragment_under_tiny_budget_exits_4() {
+    let (_dir, shapes, data) = fixtures();
+    let out = shapefrag(&[
+        "fragment",
+        shapes.to_str().unwrap(),
+        data.to_str().unwrap(),
+        "--threads",
+        "2",
+        "--budget-steps",
+        "1",
+    ]);
+    assert_eq!(out.status.code(), Some(4), "budget trip → exit 4");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("resource fault"));
+}

@@ -16,11 +16,12 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use shape_fragments::core::{fragment_governed, neighborhood_governed, schema_fragment_governed};
+use shape_fragments::core::neighborhood::materialize;
+use shape_fragments::core::{neighborhood_governed, Engine};
 use shape_fragments::govern::{Budget, BudgetKind, CancelToken, EngineError, ExecCtx};
-use shape_fragments::rdf::{ntriples, turtle};
+use shape_fragments::rdf::{ntriples, turtle, GraphAccess};
 use shape_fragments::shacl::parser::parse_shapes_turtle;
-use shape_fragments::shacl::validator::{validate_batch_governed, validate_governed, Context};
+use shape_fragments::shacl::validator::{validate_governed, Context, ValidationReport};
 use shape_fragments::shacl::{Nnf, PathExpr, Schema, Shape, ShapeDef};
 use shape_fragments::sparql::{eval_select_governed, parse_select, EvalConfig};
 use shapefrag_rdf::{Graph, Iri, Term, Triple};
@@ -67,6 +68,41 @@ fn star_walk_shape() -> Shape {
         PathExpr::prop(p("p")).star(),
         Shape::geq(1, PathExpr::prop(p("p")), Shape::True),
     )
+}
+
+/// One-thread engine validation under `budget` (and `cancel`, if given).
+fn validate_batch_governed<G: GraphAccess>(
+    schema: &Schema,
+    graph: &G,
+    budget: Budget,
+    cancel: Option<&CancelToken>,
+) -> Result<ValidationReport, EngineError> {
+    let mut engine = Engine::new().budget(budget);
+    if let Some(token) = cancel {
+        engine = engine.cancel(token);
+    }
+    engine.validate(schema, graph).map(|(report, _)| report)
+}
+
+/// One-thread engine fragment `Frag(G, S)` under `budget`, materialized.
+fn fragment_governed<G: GraphAccess>(
+    schema: &Schema,
+    graph: &G,
+    shapes: &[Shape],
+    budget: Budget,
+) -> Result<Graph, EngineError> {
+    let (ids, _) = Engine::new()
+        .budget(budget)
+        .fragment(schema, graph, shapes)?;
+    Ok(materialize(graph, &ids))
+}
+
+fn schema_fragment_governed<G: GraphAccess>(
+    schema: &Schema,
+    graph: &G,
+    budget: Budget,
+) -> Result<Graph, EngineError> {
+    fragment_governed(schema, graph, &schema.request_shapes(), budget)
 }
 
 // ---------------------------------------------------------------------------
@@ -275,9 +311,10 @@ fn step_budget_faults_are_structured_across_the_stack() {
     let graph = cyclic_graph();
     let shapes = vec![star_walk_shape()];
     let schema = Schema::empty();
-    let tiny = || ExecCtx::with_budget(Budget::unlimited().steps(3));
+    let tiny_budget = || Budget::unlimited().steps(3);
+    let tiny = || ExecCtx::with_budget(tiny_budget());
 
-    match fragment_governed(&schema, &graph, &shapes, tiny()) {
+    match fragment_governed(&schema, &graph, &shapes, tiny_budget()) {
         Err(EngineError::BudgetExceeded {
             kind: BudgetKind::Steps,
             limit,
@@ -296,11 +333,11 @@ fn step_budget_faults_are_structured_across_the_stack() {
         Err(EngineError::BudgetExceeded { .. })
     ));
     assert!(matches!(
-        validate_batch_governed(&named, &graph, tiny()),
+        validate_batch_governed(&named, &graph, tiny_budget(), None),
         Err(EngineError::BudgetExceeded { .. })
     ));
     assert!(matches!(
-        schema_fragment_governed(&named, &graph, tiny()),
+        schema_fragment_governed(&named, &graph, tiny_budget()),
         Err(EngineError::BudgetExceeded { .. })
     ));
 
@@ -316,8 +353,8 @@ fn step_budget_faults_are_structured_across_the_stack() {
 fn expired_deadline_is_a_structured_error() {
     let graph = generate(&TyroleanConfig::new(200, 0xDEAD));
     let schema = Schema::new(benchmark_shapes()).unwrap();
-    let exec = ExecCtx::with_budget(Budget::unlimited().deadline(Duration::ZERO));
-    match validate_batch_governed(&schema, &graph, exec) {
+    let budget = Budget::unlimited().deadline(Duration::ZERO);
+    match validate_batch_governed(&schema, &graph, budget, None) {
         Err(EngineError::DeadlineExceeded { .. }) => {}
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
@@ -334,8 +371,7 @@ fn cancellation_is_observed_within_50ms() {
     let (tx, rx) = mpsc::channel();
 
     let worker = thread::spawn(move || loop {
-        let exec = ExecCtx::with_budget(Budget::unlimited()).with_cancel(&worker_token);
-        match validate_batch_governed(&schema, &graph, exec) {
+        match validate_batch_governed(&schema, &graph, Budget::unlimited(), Some(&worker_token)) {
             Ok(_) => {
                 // Keep looping; tell the test thread we are mid-workload.
                 let _ = tx.send(());
@@ -370,9 +406,10 @@ fn frozen_backend_honors_step_budgets() {
     let frozen = cyclic_graph().freeze();
     let shapes = vec![star_walk_shape()];
     let schema = Schema::empty();
-    let tiny = || ExecCtx::with_budget(Budget::unlimited().steps(3));
+    let tiny_budget = || Budget::unlimited().steps(3);
+    let tiny = || ExecCtx::with_budget(tiny_budget());
 
-    match fragment_governed(&schema, &frozen, &shapes, tiny()) {
+    match fragment_governed(&schema, &frozen, &shapes, tiny_budget()) {
         Err(EngineError::BudgetExceeded {
             kind: BudgetKind::Steps,
             limit,
@@ -391,11 +428,11 @@ fn frozen_backend_honors_step_budgets() {
         Err(EngineError::BudgetExceeded { .. })
     ));
     assert!(matches!(
-        validate_batch_governed(&named, &frozen, tiny()),
+        validate_batch_governed(&named, &frozen, tiny_budget(), None),
         Err(EngineError::BudgetExceeded { .. })
     ));
     assert!(matches!(
-        schema_fragment_governed(&named, &frozen, tiny()),
+        schema_fragment_governed(&named, &frozen, tiny_budget()),
         Err(EngineError::BudgetExceeded { .. })
     ));
 
@@ -412,8 +449,8 @@ fn frozen_backend_honors_step_budgets() {
 fn frozen_backend_honors_deadlines() {
     let frozen = generate(&TyroleanConfig::new(200, 0xDEAD)).freeze();
     let schema = Schema::new(benchmark_shapes()).unwrap();
-    let exec = ExecCtx::with_budget(Budget::unlimited().deadline(Duration::ZERO));
-    match validate_batch_governed(&schema, &frozen, exec) {
+    let budget = Budget::unlimited().deadline(Duration::ZERO);
+    match validate_batch_governed(&schema, &frozen, budget, None) {
         Err(EngineError::DeadlineExceeded { .. }) => {}
         other => panic!("expected DeadlineExceeded over frozen, got {other:?}"),
     }
@@ -430,8 +467,7 @@ fn frozen_backend_observes_cancellation() {
     let (tx, rx) = mpsc::channel();
 
     let worker = thread::spawn(move || loop {
-        let exec = ExecCtx::with_budget(Budget::unlimited()).with_cancel(&worker_token);
-        match validate_batch_governed(&schema, &frozen, exec) {
+        match validate_batch_governed(&schema, &frozen, Budget::unlimited(), Some(&worker_token)) {
             Ok(_) => {
                 let _ = tx.send(());
             }
@@ -455,20 +491,19 @@ fn frozen_backend_observes_cancellation() {
 /// ungoverned mutable-backend results exactly.
 #[test]
 fn frozen_governed_agrees_with_mutable_ungoverned() {
-    use shape_fragments::core::schema_fragment;
-    use shape_fragments::shacl::validator::validate_batch;
+    use shape_fragments::core::{schema_fragment, validate_batch_par};
 
     let graph = generate(&TyroleanConfig::new(150, 0xA7));
     let frozen = graph.freeze();
     let schema = Schema::new(benchmark_shapes()).unwrap();
 
-    let plain = validate_batch(&schema, &graph);
-    let governed = validate_batch_governed(&schema, &frozen, ExecCtx::unbounded())
+    let plain = validate_batch_par(&schema, &graph, 1);
+    let governed = validate_batch_governed(&schema, &frozen, Budget::unlimited(), None)
         .expect("unbounded context cannot fault");
     assert_eq!(plain, governed);
 
     let plain_frag = schema_fragment(&schema, &graph);
-    let governed_frag = schema_fragment_governed(&schema, &frozen, ExecCtx::unbounded())
+    let governed_frag = schema_fragment_governed(&schema, &frozen, Budget::unlimited())
         .expect("unbounded context cannot fault");
     assert_eq!(plain_frag, governed_frag);
 }
@@ -482,18 +517,13 @@ fn frozen_governed_agrees_with_mutable_ungoverned() {
 /// partial report leaks out.
 #[test]
 fn parallel_engine_surfaces_budget_exhaustion() {
-    use shape_fragments::core::validate_batch_par_governed;
-
     let frozen = generate(&TyroleanConfig::new(400, 0xBE)).freeze();
     let schema = Schema::new(benchmark_shapes()).unwrap();
     for threads in [1, 2, 4, 8] {
-        match validate_batch_par_governed(
-            &schema,
-            &frozen,
-            threads,
-            Budget::unlimited().steps(16),
-            None,
-        ) {
+        let engine = Engine::new()
+            .threads(threads)
+            .budget(Budget::unlimited().steps(16));
+        match engine.validate(&schema, &frozen) {
             Err(EngineError::BudgetExceeded {
                 kind: BudgetKind::Steps,
                 ..
@@ -508,8 +538,6 @@ fn parallel_engine_surfaces_budget_exhaustion() {
 /// one `Cancelled` error.
 #[test]
 fn parallel_engine_observes_cross_thread_cancellation() {
-    use shape_fragments::core::validate_batch_par_governed;
-
     let frozen = generate(&TyroleanConfig::new(600, 0xCC)).freeze();
     let schema = Schema::new(benchmark_shapes()).unwrap();
     let token = CancelToken::new();
@@ -517,13 +545,11 @@ fn parallel_engine_observes_cross_thread_cancellation() {
     let (tx, rx) = mpsc::channel();
 
     let worker = thread::spawn(move || loop {
-        match validate_batch_par_governed(
-            &schema,
-            &frozen,
-            4,
-            Budget::unlimited(),
-            Some(&worker_token),
-        ) {
+        match Engine::new()
+            .threads(4)
+            .cancel(&worker_token)
+            .validate(&schema, &frozen)
+        {
             Ok(_) => {
                 let _ = tx.send(());
             }
@@ -547,16 +573,17 @@ fn parallel_engine_observes_cross_thread_cancellation() {
 /// report at every thread count.
 #[test]
 fn parallel_engine_unbounded_agrees_with_sequential() {
-    use shape_fragments::core::validate_batch_par_governed;
-    use shape_fragments::shacl::validator::validate_batch;
+    use shape_fragments::shacl::validator::validate;
 
     let frozen = generate(&TyroleanConfig::new(150, 0xA8)).freeze();
     let schema = Schema::new(benchmark_shapes()).unwrap();
-    let sequential = validate_batch(&schema, &frozen);
+    let sequential = validate(&schema, &frozen);
     for threads in [1, 2, 4, 8] {
-        let report =
-            validate_batch_par_governed(&schema, &frozen, threads, Budget::unlimited(), None)
-                .expect("unlimited budget cannot fault");
+        let (report, _) = Engine::new()
+            .threads(threads)
+            .budget(Budget::unlimited())
+            .validate(&schema, &frozen)
+            .expect("unlimited budget cannot fault");
         assert_eq!(sequential, report, "threads = {threads}");
     }
 }
@@ -565,19 +592,18 @@ fn parallel_engine_unbounded_agrees_with_sequential() {
 /// validation and fragment extraction.
 #[test]
 fn governed_and_ungoverned_agree_when_unbounded() {
-    use shape_fragments::core::schema_fragment;
-    use shape_fragments::shacl::validator::validate_batch;
+    use shape_fragments::core::{schema_fragment, validate_batch_par};
 
     let graph = generate(&TyroleanConfig::new(150, 0xA6));
     let schema = Schema::new(benchmark_shapes()).unwrap();
 
-    let plain = validate_batch(&schema, &graph);
-    let governed = validate_batch_governed(&schema, &graph, ExecCtx::unbounded())
+    let plain = validate_batch_par(&schema, &graph, 1);
+    let governed = validate_batch_governed(&schema, &graph, Budget::unlimited(), None)
         .expect("unbounded context cannot fault");
     assert_eq!(plain, governed);
 
     let plain_frag = schema_fragment(&schema, &graph);
-    let governed_frag = schema_fragment_governed(&schema, &graph, ExecCtx::unbounded())
+    let governed_frag = schema_fragment_governed(&schema, &graph, Budget::unlimited())
         .expect("unbounded context cannot fault");
     assert_eq!(plain_frag, governed_frag);
 }

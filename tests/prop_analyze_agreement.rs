@@ -13,10 +13,10 @@ use proptest::prelude::*;
 use common::{graph_strategy, shape_strategy};
 use shape_fragments::analyze::{simplify, SimplifyLevel};
 use shape_fragments::core::{
-    schema_fragment, validate_extract_fragment, validate_extract_fragment_simplified,
+    schema_fragment, validate_batch_par, validate_extract_fragment, Engine,
 };
 use shape_fragments::rdf::Term;
-use shape_fragments::shacl::validator::{validate, validate_batch};
+use shape_fragments::shacl::validator::validate;
 use shape_fragments::shacl::{PathExpr, Schema, Shape, ShapeDef};
 
 fn shape_name(i: usize) -> Term {
@@ -70,8 +70,14 @@ proptest! {
         let f = g.freeze();
         prop_assert_eq!(validate(&schema, &g), validate(&simplified, &g));
         prop_assert_eq!(validate(&schema, &f), validate(&simplified, &f));
-        prop_assert_eq!(validate_batch(&schema, &g), validate_batch(&simplified, &g));
-        prop_assert_eq!(validate_batch(&schema, &f), validate_batch(&simplified, &f));
+        prop_assert_eq!(
+            validate_batch_par(&schema, &g, 1),
+            validate_batch_par(&simplified, &g, 1)
+        );
+        prop_assert_eq!(
+            validate_batch_par(&schema, &f, 1),
+            validate_batch_par(&simplified, &f, 1)
+        );
     }
 
     /// Fragment-level simplification additionally preserves provenance:
@@ -103,7 +109,7 @@ proptest! {
         prop_assert_eq!(frag_o.to_graph(&f), frag_f.to_graph(&f));
     }
 
-    /// The packaged driver (`validate_extract_fragment_simplified`)
+    /// Extraction on two threads over the fragment-level simplified schema
     /// produces exactly the report and fragment of the unsimplified
     /// instrumented driver.
     #[test]
@@ -112,7 +118,8 @@ proptest! {
         schema in schema_strategy(),
     ) {
         let (report, frag) = validate_extract_fragment(&schema, &g);
-        let (report_s, frag_s, _diags) = validate_extract_fragment_simplified(&schema, &g);
+        let (simplified, _diags) = simplify(&schema, SimplifyLevel::Fragment);
+        let (report_s, frag_s, _) = Engine::new().threads(2).extract(&simplified, &g).unwrap();
         prop_assert_eq!(report, report_s);
         prop_assert_eq!(frag.to_graph(&g), frag_s.to_graph(&g));
     }

@@ -1,13 +1,14 @@
 //! Agreement between the set-at-a-time (batch) evaluation kernel and the
 //! per-node reference implementations:
 //!
-//! - `validate_batch` produces exactly the same [`ValidationReport`] as
-//!   `validate` (same violations, in the same order),
+//! - the one-thread [`Engine`] produces exactly the same
+//!   `ValidationReport` as `validate` (same violations, in the same
+//!   order),
 //! - `validate_extract_fragment` (batch route) matches
 //!   `validate_extract_fragment_per_node` on both the report and the
 //!   extracted neighborhood triple set,
 //! - `Context::conforms_all` agrees pointwise with `Context::conforms`,
-//! - `fragment_ids` (batch) equals `fragment_ids_per_node`.
+//! - `Engine::fragment` (batch) equals `fragment_ids_per_node`.
 //!
 //! Schemas are generated with *forward* `hasShape` references so several
 //! definitions share sub-shapes — the case the conformance memo dedupes.
@@ -18,11 +19,10 @@ use proptest::prelude::*;
 
 use common::{graph_strategy, shape_strategy};
 use shape_fragments::core::{
-    fragment_ids, fragment_ids_per_node, validate_extract_fragment,
-    validate_extract_fragment_per_node,
+    fragment_ids_per_node, validate_extract_fragment, validate_extract_fragment_per_node, Engine,
 };
 use shape_fragments::rdf::{Graph, Term, TermId};
-use shape_fragments::shacl::validator::{validate, validate_batch, Context};
+use shape_fragments::shacl::validator::{validate, Context};
 use shape_fragments::shacl::{PathExpr, Schema, Shape, ShapeDef};
 
 fn shape_name(i: usize) -> Term {
@@ -78,14 +78,14 @@ fn schema_strategy() -> impl Strategy<Value = Schema> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// `validate_batch` = `validate`, including violation order.
+    /// The one-thread engine = `validate`, including violation order.
     #[test]
     fn validate_batch_agrees_with_validate(
         g in graph_strategy(14),
         schema in schema_strategy(),
     ) {
         let per_node = validate(&schema, &g);
-        let batch = validate_batch(&schema, &g);
+        let (batch, _) = Engine::new().validate(&schema, &g).unwrap();
         prop_assert_eq!(per_node, batch);
     }
 
@@ -130,7 +130,7 @@ proptest! {
         shapes in prop::collection::vec(shape_strategy(), 1..3),
     ) {
         let schema = Schema::empty();
-        let batch = fragment_ids(&schema, &g, &shapes);
+        let (batch, _) = Engine::new().fragment(&schema, &g, &shapes).unwrap();
         let per_node = fragment_ids_per_node(&schema, &g, &shapes);
         let to_graph = |ids: &shape_fragments::core::IdTriples| -> Graph {
             ids.iter().map(|&(s, p, o)| g.triple_of(s, p, o)).collect()

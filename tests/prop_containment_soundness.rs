@@ -20,10 +20,9 @@ use proptest::prelude::*;
 
 use common::{graph_strategy, shape_strategy};
 use shape_fragments::analyze::{subsumes, ContainmentMatrix};
+use shape_fragments::core::Engine;
 use shape_fragments::rdf::Term;
-use shape_fragments::shacl::validator::{
-    validate_batch, validate_batch_containment, ConformanceMemo, Context,
-};
+use shape_fragments::shacl::validator::{ConformanceMemo, Context};
 use shape_fragments::shacl::{Nnf, PathExpr, Schema, Shape, ShapeDef};
 
 fn shape_name(i: usize) -> Term {
@@ -164,16 +163,14 @@ proptest! {
         let index = Arc::new(ContainmentMatrix::of_schema(&schema).to_index(&schema));
         let f = g.freeze();
 
-        let plain = validate_batch(&schema, &g);
-        let memo = Arc::new(ConformanceMemo::new());
-        memo.attach_containment(Arc::clone(&index));
-        let (assisted, _skipped) = validate_batch_containment(&schema, &g, memo);
-        prop_assert_eq!(plain, assisted);
+        let assisted = Engine::new().containment(Arc::clone(&index));
 
-        let plain = validate_batch(&schema, &f);
-        let memo = Arc::new(ConformanceMemo::new());
-        memo.attach_containment(Arc::clone(&index));
-        let (assisted, _skipped) = validate_batch_containment(&schema, &f, memo);
-        prop_assert_eq!(plain, assisted);
+        let (plain, _) = Engine::new().validate(&schema, &g).unwrap();
+        let (report, _) = assisted.validate(&schema, &g).unwrap();
+        prop_assert_eq!(plain, report);
+
+        let (plain, _) = Engine::new().validate(&schema, &f).unwrap();
+        let (report, _) = assisted.validate(&schema, &f).unwrap();
+        prop_assert_eq!(plain, report);
     }
 }

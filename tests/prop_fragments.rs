@@ -6,8 +6,9 @@ mod common;
 use proptest::prelude::*;
 
 use common::{graph_strategy, monotone_shape_strategy, node_term, pred, shape_strategy};
+use shape_fragments::core::neighborhood::materialize;
 use shape_fragments::core::{
-    fragment, fragment_par, schema_fragment, validate_extract_fragment, validate_with_provenance,
+    fragment, schema_fragment, validate_extract_fragment, validate_with_provenance, Engine,
 };
 use shape_fragments::rdf::Term;
 use shape_fragments::shacl::validator::{validate, Context};
@@ -106,10 +107,8 @@ proptest! {
         shapes in prop::collection::vec(shape_strategy(), 1..3),
     ) {
         let schema = Schema::empty();
-        prop_assert_eq!(
-            fragment(&schema, &g, &shapes),
-            fragment_par(&schema, &g, &shapes, 3)
-        );
+        let (ids, _) = Engine::new().threads(3).fragment(&schema, &g, &shapes).unwrap();
+        prop_assert_eq!(fragment(&schema, &g, &shapes), materialize(&g, &ids));
     }
 
     /// The instrumented validator (single pass, §5.2) produces exactly the

@@ -20,9 +20,9 @@ use proptest::prelude::*;
 
 use common::{graph_strategy, path_strategy, shape_strategy};
 use shape_fragments::core::to_sparql::fragment_query;
-use shape_fragments::core::{schema_fragment, validate_extract_fragment};
+use shape_fragments::core::{schema_fragment, validate_batch_par, validate_extract_fragment};
 use shape_fragments::rdf::{Graph, GraphAccess, Term, TermId};
-use shape_fragments::shacl::validator::{validate, validate_batch, Context};
+use shape_fragments::shacl::validator::{validate, Context};
 use shape_fragments::shacl::{PathExpr, Schema, Shape, ShapeDef};
 use shape_fragments::sparql::eval;
 
@@ -140,13 +140,16 @@ proptest! {
         }
     }
 
-    /// `validate` and `validate_batch` produce identical reports over
+    /// `validate` and the one-thread engine produce identical reports over
     /// either backend.
     #[test]
     fn validation_agrees(g in graph_strategy(14), schema in schema_strategy()) {
         let f = g.freeze();
         prop_assert_eq!(validate(&schema, &g), validate(&schema, &f));
-        prop_assert_eq!(validate_batch(&schema, &g), validate_batch(&schema, &f));
+        prop_assert_eq!(
+            validate_batch_par(&schema, &g, 1),
+            validate_batch_par(&schema, &f, 1)
+        );
     }
 
     /// Fragment extraction (both the plain union and the instrumented

@@ -1,6 +1,6 @@
 //! Agreement between the incremental engine and from-scratch validation:
 //! after any random edit script, [`IncrementalValidator`]'s maintained
-//! report must be identical to [`validate_batch`] run fresh over the
+//! report must be identical to a one-thread `Engine` run fresh over the
 //! post-edit graph — both over the `FrozenGraph + DeltaGraph` overlay it
 //! owns and over a mutable [`Graph`] that replays the same edits (the two
 //! backends intern new terms in the same order, so reports are comparable
@@ -24,11 +24,18 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use common::{graph_strategy, object_term, pred, shape_strategy};
+use shape_fragments::core::validate_batch_par;
 use shape_fragments::core::{EditOp, EditScript, IncrementalValidator};
 use shape_fragments::govern::{Budget, EngineError};
+use shape_fragments::rdf::GraphAccess;
 use shape_fragments::rdf::{Graph, Iri, Term, Triple};
-use shape_fragments::shacl::validator::validate_batch;
+use shape_fragments::shacl::validator::ValidationReport;
 use shape_fragments::shacl::{PathExpr, Schema, Shape, ShapeDef};
+
+/// From-scratch validation on the one-thread engine.
+fn validate_batch<G: GraphAccess>(schema: &Schema, graph: &G) -> ValidationReport {
+    validate_batch_par(schema, graph, 1)
+}
 
 fn shape_name(i: usize) -> Term {
     Term::iri(format!("{}S{i}", common::NS))
@@ -109,7 +116,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// After each of a chain of random scripts, the maintained report
-    /// equals a from-scratch `validate_batch` over the overlay AND over a
+    /// equals a from-scratch validation over the overlay AND over a
     /// mutable graph replaying the same edits.
     #[test]
     fn incremental_matches_scratch_on_random_scripts(

@@ -1,35 +1,85 @@
-//! Agreement between the cost-routed work-stealing parallel engines
-//! (DESIGN.md §12) and the single-threaded frozen batch drivers.
+//! Agreement between the work-stealing engine (DESIGN.md §12) at every
+//! option combination and the per-node reference drivers.
 //!
-//! On random graphs and random nonrecursive schemas, the parallel engines
-//! at 1, 2, 4 and 8 worker threads must agree **exactly** with the
-//! sequential drivers:
+//! On random graphs and random nonrecursive schemas, [`Engine`] at 1, 2, 4
+//! and 8 worker threads, with the containment index off and on, and with
+//! an unlimited and a generous step budget, must agree **exactly** with
+//! the per-node references:
 //!
-//! - `validate_batch_par` reproduces `validate_batch`'s report bit for
-//!   bit — same `checked` count and the same violations in the same
+//! - `Engine::validate` reproduces `validate`'s report bit for bit — same
+//!   `checked` count and the same violations in the same
 //!   (definition-major, target-minor) order;
-//! - `validate_extract_fragment_par` reproduces both the report and the
-//!   extracted fragment of `validate_extract_fragment`;
-//! - `fragment_ids_par` reproduces `fragment_ids`'s id-triple set, and
-//!   the materialized parallel fragment answers the generated SPARQL
-//!   fragment query with the same bindings as the sequential one.
+//! - `Engine::extract` reproduces both the report and the extracted
+//!   fragment of `validate_extract_fragment_per_node`;
+//! - validation and extraction run on the schema plus a renamed copy of
+//!   every definition, so the containment index has equivalent
+//!   definitions to settle from their originals' bits;
+//! - `Engine::fragment` reproduces `fragment_ids_per_node`'s id-triple
+//!   set, and the materialized parallel fragment answers the generated
+//!   SPARQL fragment query with the same bindings as the one-thread one.
 
 mod common;
 
 use proptest::prelude::*;
 
+use std::sync::Arc;
+
 use common::{graph_strategy, shape_strategy};
+use shape_fragments::analyze::ContainmentMatrix;
+use shape_fragments::core::neighborhood::materialize;
 use shape_fragments::core::to_sparql::fragment_query;
 use shape_fragments::core::{
-    fragment_ids, fragment_ids_par, fragment_par, validate_batch_par, validate_extract_fragment,
-    validate_extract_fragment_par,
+    fragment_ids_per_node, validate_batch_par, validate_extract_fragment_per_node, Engine,
 };
+use shape_fragments::govern::Budget;
 use shape_fragments::rdf::Term;
-use shape_fragments::shacl::validator::validate_batch;
+use shape_fragments::shacl::validator::validate;
 use shape_fragments::shacl::{PathExpr, Schema, Shape, ShapeDef};
 use shape_fragments::sparql::eval;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// `schema` plus a copy of every definition under a new name: each copy
+/// is equivalent to its original and has the same target, so with the
+/// containment index attached the copies are settled from the originals'
+/// bits in the engine's second pass.
+fn with_duplicates(schema: &Schema) -> Schema {
+    let copies: Vec<ShapeDef> = schema
+        .iter()
+        .enumerate()
+        .map(|(i, def)| {
+            let name = Term::iri(format!("{}D{i}", common::NS));
+            ShapeDef::new(name, def.shape.clone(), def.target.clone())
+        })
+        .collect();
+    Schema::new(schema.iter().cloned().chain(copies)).expect("copies add no references")
+}
+
+/// Every engine configuration under test: each thread count with the
+/// containment index off and on, and with no budget and a step budget far
+/// above what these small inputs need.
+fn engines(schema: &Schema) -> Vec<(String, Engine)> {
+    let index = Arc::new(ContainmentMatrix::of_schema(schema).to_index(schema));
+    let mut out = Vec::new();
+    for threads in THREADS {
+        for containment in [false, true] {
+            for generous in [false, true] {
+                let mut engine = Engine::new().threads(threads);
+                if containment {
+                    engine = engine.containment(Arc::clone(&index));
+                }
+                if generous {
+                    engine = engine.budget(Budget::unlimited().steps(50_000_000));
+                }
+                let label = format!(
+                    "threads = {threads}, containment = {containment}, budget = {generous}"
+                );
+                out.push((label, engine));
+            }
+        }
+    }
+    out
+}
 
 fn shape_name(i: usize) -> Term {
     Term::iri(format!("{}S{i}", common::NS))
@@ -71,56 +121,66 @@ fn schema_strategy() -> impl Strategy<Value = Schema> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Parallel validation reproduces the sequential batch report bit for
-    /// bit at every thread count.
+    /// Parallel validation reproduces the per-node report bit for bit at
+    /// every thread count, containment setting and budget.
     #[test]
     fn parallel_validation_agrees(g in graph_strategy(14), schema in schema_strategy()) {
         let f = g.freeze();
-        let sequential = validate_batch(&schema, &f);
+        let schema = with_duplicates(&schema);
+        let sequential = validate(&schema, &f);
         for threads in THREADS {
             let parallel = validate_batch_par(&schema, &f, threads);
             prop_assert_eq!(&sequential, &parallel, "threads = {}", threads);
         }
-    }
-
-    /// Parallel instrumented extraction reproduces both the report and
-    /// the fragment of the sequential driver.
-    #[test]
-    fn parallel_extraction_agrees(g in graph_strategy(14), schema in schema_strategy()) {
-        let f = g.freeze();
-        let (seq_report, seq_frag) = validate_extract_fragment(&schema, &f);
-        let seq_frag = seq_frag.to_graph(&f);
-        for threads in THREADS {
-            let (report, frag) = validate_extract_fragment_par(&schema, &f, threads);
-            prop_assert_eq!(&seq_report, &report, "threads = {}", threads);
-            prop_assert_eq!(&seq_frag, &frag.to_graph(&f), "threads = {}", threads);
+        for (label, engine) in engines(&schema) {
+            let (report, _) = engine.validate(&schema, &f).expect("generous budget");
+            prop_assert_eq!(&sequential, &report, "{}", label);
         }
     }
 
-    /// Parallel request-shape fragments reproduce the sequential id-triple
+    /// Parallel instrumented extraction reproduces both the report and
+    /// the fragment of the per-node driver.
+    #[test]
+    fn parallel_extraction_agrees(g in graph_strategy(14), schema in schema_strategy()) {
+        let f = g.freeze();
+        let schema = with_duplicates(&schema);
+        let (seq_report, seq_frag) = validate_extract_fragment_per_node(&schema, &f);
+        let seq_frag = seq_frag.to_graph(&f);
+        for (label, engine) in engines(&schema) {
+            let (report, frag, _) = engine.extract(&schema, &f).expect("generous budget");
+            prop_assert_eq!(&seq_report, &report, "{}", label);
+            prop_assert_eq!(&seq_frag, &frag.to_graph(&f), "{}", label);
+        }
+    }
+
+    /// Parallel request-shape fragments reproduce the per-node id-triple
     /// set exactly.
     #[test]
     fn parallel_fragment_ids_agree(g in graph_strategy(14), schema in schema_strategy()) {
         let f = g.freeze();
         let shapes = schema.request_shapes();
-        let sequential = fragment_ids(&schema, &f, &shapes);
-        for threads in THREADS {
-            let parallel = fragment_ids_par(&schema, &f, &shapes, threads);
-            prop_assert_eq!(&sequential, &parallel, "threads = {}", threads);
+        let sequential = fragment_ids_per_node(&schema, &f, &shapes);
+        for (label, engine) in engines(&schema) {
+            let (parallel, _) = engine.fragment(&schema, &f, &shapes).expect("generous budget");
+            prop_assert_eq!(&sequential, &parallel, "{}", label);
         }
     }
 
     /// The materialized parallel fragment is SPARQL-indistinguishable from
-    /// the sequential one: the generated fragment query returns the same
+    /// the one-thread one: the generated fragment query returns the same
     /// bindings over both.
     #[test]
     fn parallel_fragment_sparql_agrees(g in graph_strategy(12), schema in schema_strategy()) {
         let f = g.freeze();
         let shapes = schema.request_shapes();
         let query = fragment_query(&schema, &shapes);
-        let seq_frag = fragment_par(&schema, &f, &shapes, 1);
+        let fragment = |threads: usize| {
+            let (ids, _) = Engine::new().threads(threads).fragment(&schema, &f, &shapes).unwrap();
+            materialize(&f, &ids)
+        };
+        let seq_frag = fragment(1);
         for threads in [2, 8] {
-            let par_frag = fragment_par(&schema, &f, &shapes, threads);
+            let par_frag = fragment(threads);
             prop_assert_eq!(&seq_frag, &par_frag, "threads = {}", threads);
             prop_assert_eq!(
                 eval(&seq_frag, &query),
