@@ -27,25 +27,29 @@
 //!
 //! Every job runs the same three steps:
 //!
-//! 1. **Plan** sequentially under the full budget: resolve each
+//! 1. **Plan** sequentially under the job's budget: resolve each
 //!    definition's targets (identical target shapes are resolved once) and
 //!    split every row of nodes into spans. A span's cost is the analyzer's
 //!    fan-out class of the row's shape ([`shape_cost`]) times its length, so
 //!    product-graph BFS shapes are dispatched before cheap lookups.
 //! 2. **Run** the spans on the [`shapefrag_sched`] work-stealing scheduler.
 //!    Every worker has its own [`Context`] over one shared
-//!    [`ConformanceMemo`], governed by `budget.split(threads)` and the
-//!    cancellation token. The first fault by planning order wins and stops
-//!    the other workers at their next span.
+//!    [`ConformanceMemo`], governed by an equal share of what the job has
+//!    left ([`ExecCtx::share`]) and the cancellation token. The first
+//!    fault by planning order wins and stops the other workers at their
+//!    next span.
 //! 3. **Merge** span results by sequence number, so reports come out in
 //!    definition-major, target-minor order whatever the thread count or
 //!    the execution order. Fragments are id-triple sets; their union is
 //!    order-free.
 //!
 //! With one thread the scheduler runs the spans inline, one span per row,
-//! in descending cost order. Budgets are per-worker counters, not a shared
+//! in descending cost order. The budget covers the whole job: the deadline
+//! is absolute, and the steps the workers of one run spend are charged to
+//! the job before the next run, so planning and every pass together stay
+//! within it. The workers' shares are their own counters, not a shared
 //! pool, so a parallel run may trip a step budget a one-thread run squeaks
-//! under (and vice versa); the error taxonomy is the same.
+//! under; the error taxonomy is the same.
 //!
 //! With a containment index attached, definitions whose shape is provably
 //! equivalent to an earlier definition with the same target run in a
@@ -77,6 +81,16 @@ pub struct Engine {
     containment: Option<Arc<ContainmentIndex>>,
 }
 
+/// One job's shared pieces: the schema, graph and memo every context of
+/// the job reads, and the sequential planning context, whose governor
+/// holds the job's whole budget.
+pub(crate) struct Job<'a, G: GraphAccess> {
+    schema: &'a Schema,
+    graph: &'a G,
+    memo: Arc<ConformanceMemo>,
+    pub(crate) planner: Context<'a, G>,
+}
+
 /// One row of planned work: the nodes its spans cover and the shape whose
 /// cost class prices them.
 struct Row<'a> {
@@ -106,8 +120,8 @@ impl Engine {
         self
     }
 
-    /// Runs under `budget`: planning gets all of it, each worker
-    /// `budget.split(threads)`.
+    /// Runs the whole job, planning and every run of workers together,
+    /// under `budget`.
     pub fn budget(mut self, budget: Budget) -> Engine {
         self.budget = budget;
         self
@@ -136,9 +150,9 @@ impl Engine {
         schema: &Schema,
         graph: &G,
     ) -> Result<(ValidationReport, RunStats), EngineError> {
-        let memo = self.memo(schema, graph);
-        let (targets, deduped) = resolve_targets(&mut self.planner(schema, graph, &memo), schema)?;
-        let (bits, mut stats) = self.decide(schema, graph, &memo, &targets)?;
+        let mut job = self.job(schema, graph, self.memo(schema, graph));
+        let (targets, deduped) = resolve_targets(&mut job.planner, schema)?;
+        let (bits, mut stats) = self.decide(&job, &targets)?;
         stats.targets_deduped = deduped;
         Ok((report(schema, graph, &targets, &bits), stats))
     }
@@ -152,17 +166,15 @@ impl Engine {
         schema: &Schema,
         graph: &G,
     ) -> Result<(ValidationReport, SchemaFragment, RunStats), EngineError> {
-        let memo = self.memo(schema, graph);
-        let mut planner = self.planner(schema, graph, &memo);
-        let (targets, deduped) = resolve_targets(&mut planner, schema)?;
+        let mut job = self.job(schema, graph, self.memo(schema, graph));
+        let (targets, deduped) = resolve_targets(&mut job.planner, schema)?;
         let mut evidence = Vec::with_capacity(schema.len());
         for def in schema.iter() {
-            evidence.push(TargetEvidence::analyze(&mut planner, &def.target));
-            if let Some(e) = planner.take_fault() {
+            evidence.push(TargetEvidence::analyze(&mut job.planner, &def.target));
+            if let Some(e) = job.planner.take_fault() {
                 return Err(e);
             }
         }
-        drop(planner);
         let rows = def_rows(schema, &targets);
         // A definition with few targets, or whose shape gives the batch
         // kernels no work to share, runs the single-pass per-node
@@ -172,9 +184,7 @@ impl Engine {
             .map(|row| row.nodes.len() < BATCH_MIN_TARGETS || !shape_shares_work(schema, row.cost))
             .collect();
         let (bits, states, mut stats) = self.run(
-            schema,
-            graph,
-            &memo,
+            &job,
             &rows,
             || (IdTriples::default(), Vec::new()),
             |ctx, (triples, journal), d, nodes| {
@@ -220,8 +230,8 @@ impl Engine {
         graph: &G,
         shapes: &[Shape],
     ) -> Result<(IdTriples, RunStats), EngineError> {
-        let memo = self.memo(schema, graph);
-        self.exec(self.budget).check_now()?;
+        let job = self.job(schema, graph, self.memo(schema, graph));
+        job.planner.exec().check_now()?;
         let nodes: Vec<TermId> = graph.node_ids().into_iter().collect();
         let nnfs: Vec<Nnf> = shapes.iter().map(Nnf::from_shape).collect();
         let rows: Vec<Row> = nnfs
@@ -231,37 +241,31 @@ impl Engine {
                 cost: nnf,
             })
             .collect();
-        let (_, states, stats) = self.run(
-            schema,
-            graph,
-            &memo,
-            &rows,
-            IdTriples::default,
-            |ctx, triples, r, chunk| {
+        let (_, states, stats) =
+            self.run(&job, &rows, IdTriples::default, |ctx, triples, r, chunk| {
                 let bits = ctx.conforms_all_nnf(chunk, &nnfs[r]);
                 collect_neighborhood_many(ctx, &select(chunk, &bits), &nnfs[r], triples);
                 Vec::new()
-            },
-        )?;
+            })?;
         Ok((union(states), stats))
     }
 
     /// Decides `hasShape(def)` for every definition's row of `nodes`
-    /// through `memo`, so definition-level bits land where containment
-    /// derivation and the incremental engine can see them. Definitions the
-    /// memo's containment index covers run in a second pass.
+    /// through the job's memo, so definition-level bits land where
+    /// containment derivation and the incremental engine can see them.
+    /// Definitions the memo's containment index covers run in a second
+    /// pass.
     pub(crate) fn decide<G: GraphAccess>(
         &self,
-        schema: &Schema,
-        graph: &G,
-        memo: &Arc<ConformanceMemo>,
+        job: &Job<'_, G>,
         nodes: &[Vec<TermId>],
     ) -> Result<(Vec<Vec<bool>>, RunStats), EngineError> {
+        let schema = job.schema;
         let named: Vec<Shape> = schema
             .iter()
             .map(|def| Shape::HasShape(def.name.clone()))
             .collect();
-        let covered = covered_defs(schema, memo.containment().as_deref());
+        let covered = covered_defs(schema, job.memo.containment().as_deref());
         let pass = |second: bool| {
             let rows: Vec<Row> = def_rows(schema, nodes)
                 .into_iter()
@@ -272,9 +276,7 @@ impl Engine {
                 })
                 .collect();
             self.run(
-                schema,
-                graph,
-                memo,
+                job,
                 &rows,
                 || (),
                 |ctx, _, d, chunk| ctx.conforms_all(chunk, &named[d]),
@@ -310,34 +312,34 @@ impl Engine {
         memo
     }
 
-    fn exec(&self, budget: Budget) -> ExecCtx {
-        let exec = ExecCtx::with_budget(budget);
-        match &self.cancel {
-            Some(token) => exec.with_cancel(token),
-            None => exec,
-        }
-    }
-
-    /// The sequential planning context, under the full budget.
-    pub(crate) fn planner<'a, G: GraphAccess>(
+    /// A new job over `memo`, its planner holding the whole budget.
+    pub(crate) fn job<'a, G: GraphAccess>(
         &self,
         schema: &'a Schema,
         graph: &'a G,
-        memo: &Arc<ConformanceMemo>,
-    ) -> Context<'a, G> {
-        Context::with_memo(schema, graph, Arc::clone(memo)).with_exec(self.exec(self.budget))
+        memo: Arc<ConformanceMemo>,
+    ) -> Job<'a, G> {
+        let mut exec = ExecCtx::with_budget(self.budget);
+        if let Some(token) = &self.cancel {
+            exec = exec.with_cancel(token);
+        }
+        Job {
+            schema,
+            graph,
+            planner: Context::with_memo(schema, graph, Arc::clone(&memo)).with_exec(exec),
+            memo,
+        }
     }
 
     /// The unit runner behind every job: splits `rows` into spans, runs
     /// `work(ctx, state, row, nodes)` on each, and returns the bits of each
     /// row in node order, every worker's final `state`, and the
-    /// scheduler's counters.
+    /// scheduler's counters. The workers share what the job's budget has
+    /// left, and what they spend is charged to the job.
     #[allow(clippy::type_complexity)]
     fn run<G, S, W>(
         &self,
-        schema: &Schema,
-        graph: &G,
-        memo: &Arc<ConformanceMemo>,
+        job: &Job<'_, G>,
         rows: &[Row],
         init: impl Fn() -> S + Sync,
         work: W,
@@ -347,6 +349,7 @@ impl Engine {
         S: Send,
         W: Fn(&mut Context<'_, G>, &mut S, usize, &[TermId]) -> Vec<bool> + Sync,
     {
+        let (schema, graph, memo, exec) = (job.schema, job.graph, &job.memo, job.planner.exec());
         let threads = self.threads.max(1);
         let mut units = Vec::new();
         for (r, row) in rows.iter().enumerate() {
@@ -376,18 +379,26 @@ impl Engine {
                 });
             }
         }
-        let worker_budget = self.budget.split(threads);
+        // As many shares as the scheduler starts workers.
+        let workers = threads.min(units.len()).max(1);
+        let shares = Mutex::new(
+            (0..workers)
+                .map(|_| exec.share(workers))
+                .collect::<Vec<_>>(),
+        );
         let fault: Mutex<Option<(usize, EngineError)>> = Mutex::new(None);
         let abort = AtomicBool::new(false);
         let (per_worker, mut stats) = run(
             units,
             threads,
             |_| {
-                let ctx = Context::with_memo(schema, graph, Arc::clone(memo))
-                    .with_exec(self.exec(worker_budget));
-                (ctx, init(), Vec::new())
+                let exec = shares.lock().expect("shares poisoned").pop();
+                let exec = exec.expect("one share per worker");
+                let start = exec.steps_used();
+                let ctx = Context::with_memo(schema, graph, Arc::clone(memo)).with_exec(exec);
+                (ctx, start, init(), Vec::new())
             },
-            |(ctx, state, out), span: Span| {
+            |(ctx, _, state, out), span: Span| {
                 if abort.load(Ordering::Acquire) {
                     return;
                 }
@@ -408,14 +419,15 @@ impl Engine {
                     }
                 }
             },
-            |_, (_, state, out)| (state, out),
+            |_, (ctx, start, state, out)| (ctx.exec().steps_used() - start, state, out),
         );
         if let Some((_, e)) = fault.into_inner().expect("fault slot poisoned") {
             return Err(e);
         }
         let mut states = Vec::with_capacity(per_worker.len());
         let mut outs = Vec::new();
-        for (state, out) in per_worker {
+        for (spent, state, out) in per_worker {
+            exec.tick(spent)?;
             states.push(state);
             outs.extend(out);
         }
@@ -494,6 +506,8 @@ fn covered_defs(schema: &Schema, index: Option<&ContainmentIndex>) -> Vec<bool> 
         return covered;
     };
     for i in 0..defs.len() {
+        // The index's dense ids are definition positions.
+        debug_assert_eq!(schema.name_id(&defs[i].name), Some(i as u32));
         covered[i] = (0..i).any(|j| {
             !covered[j]
                 && defs[i].target == defs[j].target
@@ -638,6 +652,38 @@ mod tests {
             // Both definitions share one target shape.
             assert_eq!(stats.targets_deduped, 1, "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn engine_matches_validate_on_nested_shapes() {
+        let schema = Schema::new([
+            ShapeDef::new(
+                term("S"),
+                Shape::geq(
+                    1,
+                    p("author"),
+                    Shape::geq(1, p("type"), Shape::has_value(term("Student"))),
+                ),
+                Shape::geq(1, p("author"), Shape::True),
+            ),
+            ShapeDef::new(
+                term("T"),
+                Shape::for_all(p("author"), Shape::geq(1, p("type"), Shape::True)),
+                Shape::geq(1, p("author"), Shape::True),
+            ),
+        ])
+        .unwrap();
+        let g = Graph::from_triples([
+            t("p1", "author", "alice"),
+            t("alice", "type", "Student"),
+            t("p2", "author", "bob"),
+            t("p3", "author", "alice"),
+            t("p3", "author", "bob"),
+        ]);
+        let per_node = validate(&schema, &g);
+        let (batch, _) = Engine::new().validate(&schema, &g).unwrap();
+        assert_eq!(per_node, batch);
+        assert_eq!(batch.checked, per_node.checked);
     }
 
     #[test]
@@ -813,6 +859,52 @@ mod tests {
                     "threads = {threads}: {err:?}"
                 );
             }
+        }
+    }
+
+    /// Planning and the evaluation passes spend from one budget: a step
+    /// limit either phase alone fits in is too small for the job. With a
+    /// containment index the copy of a definition runs in a second pass,
+    /// which spends from the same budget.
+    #[test]
+    fn one_budget_covers_planning_and_evaluation() {
+        let g = chain_graph(300).freeze();
+        // A target that walks `next*` makes planning spend steps too.
+        let def = |name: &str| {
+            ShapeDef::new(
+                term(name),
+                Shape::geq(1, p("label"), Shape::True),
+                Shape::geq(1, p("next").star(), Shape::has_value(term("n0"))),
+            )
+        };
+        let one = Schema::new([def("Labelled")]).unwrap();
+        let two = Schema::new([def("Labelled"), def("Copy")]).unwrap();
+        let index = Arc::new(shapefrag_analyze::ContainmentMatrix::of_schema(&two).to_index(&two));
+        for (schema, open) in [
+            (one, Engine::new()),
+            (two, Engine::new().containment(index)),
+        ] {
+            let mut job = open.job(&schema, &g, open.memo(&schema, &g));
+            let (targets, _) = resolve_targets(&mut job.planner, &schema).unwrap();
+            let planning = job.planner.exec().steps_used();
+            open.decide(&job, &targets).unwrap();
+            let total = job.planner.exec().steps_used();
+            let evaluation = total - planning;
+            assert!(planning > 0 && evaluation > 0, "{planning} + {evaluation}");
+            let steps = |n: u64| open.clone().budget(Budget::unlimited().steps(n));
+            for limit in [planning.max(evaluation), total - 1] {
+                let err = steps(limit).validate(&schema, &g).map(|_| ()).unwrap_err();
+                assert_eq!(
+                    err,
+                    EngineError::BudgetExceeded {
+                        kind: BudgetKind::Steps,
+                        limit
+                    }
+                );
+            }
+            let (report, stats) = steps(total).validate(&schema, &g).unwrap();
+            assert_eq!(report, validate(&schema, &g));
+            assert_eq!(stats.shapes_skipped, schema.len() as u64 - 1);
         }
     }
 

@@ -337,8 +337,9 @@ impl IncrementalValidator {
         self.apply_par_governed(script, 1, budget, cancel)
     }
 
-    /// Governed [`IncrementalValidator::apply_par`]: every worker runs
-    /// under `budget.split(threads)` plus the shared cancellation token;
+    /// Governed [`IncrementalValidator::apply_par`]: target recomputation
+    /// and the re-checks together run under `budget` (the workers share
+    /// what target recomputation left) plus the shared cancellation token;
     /// the first fault in planning order wins and triggers the rollback
     /// described on [`IncrementalValidator::apply_governed`].
     pub fn apply_par_governed(
@@ -384,16 +385,15 @@ impl IncrementalValidator {
         engine: &Engine,
     ) -> Result<Vec<Vec<(TermId, bool)>>, EngineError> {
         self.memo.rebind(&self.schema, &self.delta);
-        let mut planner = engine.planner(&self.schema, &self.delta, &self.memo);
-        let (targets, _) = resolve_targets(&mut planner, &self.schema)?;
-        drop(planner);
+        let mut job = engine.job(&self.schema, &self.delta, Arc::clone(&self.memo));
+        let (targets, _) = resolve_targets(&mut job.planner, &self.schema)?;
         let (entries, to_check): (Vec<_>, Vec<_>) = targets
             .into_iter()
             .zip(&self.state)
             .zip(impacts)
             .map(|((targets, old), impact)| plan_row(targets, old, impact))
             .unzip();
-        let (bits, _) = engine.decide(&self.schema, &self.delta, &self.memo, &to_check)?;
+        let (bits, _) = engine.decide(&job, &to_check)?;
         Ok(entries
             .into_iter()
             .zip(bits)
@@ -579,13 +579,9 @@ fn plan_row(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shapefrag_rdf::GraphAccess;
     use shapefrag_rdf::{Graph, Iri, Term};
+    use shapefrag_shacl::validator::validate;
     use shapefrag_shacl::{PathExpr, Shape, ShapeDef};
-
-    fn validate_batch<G: GraphAccess>(schema: &Schema, graph: &G) -> ValidationReport {
-        Engine::new().validate(schema, graph).unwrap().0
-    }
 
     fn iri(n: &str) -> Iri {
         Iri::new(format!("http://e/{n}"))
@@ -627,7 +623,7 @@ mod tests {
         let schema = person_schema();
         let g = seed_graph();
         let inc = validator(&schema, &g);
-        let scratch = validate_batch(&schema, inc.graph());
+        let scratch = validate(&schema, inc.graph());
         assert_eq!(inc.report(), scratch);
         assert_eq!(inc.report().checked, 2);
         assert_eq!(inc.report().violations.len(), 1); // bob has no name
@@ -645,7 +641,7 @@ mod tests {
             EditOp::Add(t("carol", "type", "Person")),
         ]);
         let report = inc.apply(&script);
-        let scratch = validate_batch(&schema, inc.graph());
+        let scratch = validate(&schema, inc.graph());
         assert_eq!(report, scratch);
         assert_eq!(report.checked, 3);
         let focs: Vec<_> = report.violations.iter().map(|v| v.focus.clone()).collect();
@@ -677,7 +673,7 @@ mod tests {
         let report = inc.apply(&EditScript::new([EditOp::Add(t(
             "alice", "hobby", "chess",
         ))]));
-        assert_eq!(report, validate_batch(&schema, inc.graph()));
+        assert_eq!(report, validate(&schema, inc.graph()));
         assert_eq!(inc.memo().len(), memo_before);
     }
 
@@ -761,7 +757,7 @@ mod tests {
         assert_eq!(inc.report(), before);
         // And edits keep flowing after compaction.
         let report = inc.apply(&EditScript::new([EditOp::Remove(t("bob", "name", "b"))]));
-        assert_eq!(report, validate_batch(&schema, inc.graph()));
+        assert_eq!(report, validate(&schema, inc.graph()));
     }
 
     #[test]
@@ -797,7 +793,7 @@ mod tests {
         assert_eq!(inc.memo().len(), 0);
         // And the validator still works after the fault.
         let report = inc.apply(&script);
-        assert_eq!(report, validate_batch(&schema, inc.graph()));
+        assert_eq!(report, validate(&schema, inc.graph()));
     }
 
     #[test]

@@ -325,6 +325,35 @@ impl ExecCtx {
         self
     }
 
+    /// The context of one of `n` workers that carry on this context's job
+    /// in parallel. It keeps the absolute deadline, the depth limit and
+    /// the cancellation token; it gets a `1/n` share of the step and
+    /// memory limits (as [`Budget::split`]) and starts with a `1/n` share
+    /// of the steps and memory already used here. So the `n` workers
+    /// together can spend only what this context has left, and at
+    /// `n == 1` the worker carries on exactly where this context stands.
+    /// Charge the steps the workers add back here with [`ExecCtx::tick`]
+    /// before a later phase of the same job.
+    pub fn share(&self, n: usize) -> ExecCtx {
+        let n = n.max(1) as u64;
+        let part = |limit: u64| match limit {
+            u64::MAX => u64::MAX,
+            limit => (limit / n).max(1),
+        };
+        ExecCtx {
+            deadline: self.deadline,
+            deadline_ms: self.deadline_ms,
+            step_limit: part(self.step_limit),
+            mem_limit: part(self.mem_limit),
+            depth_limit: self.depth_limit,
+            cancel: self.cancel.clone(),
+            steps: Cell::new(self.steps.get().div_ceil(n)),
+            mem: Cell::new(self.mem.get().div_ceil(n)),
+            depth: Cell::new(0),
+            until_check: Cell::new(CHECK_STRIDE),
+        }
+    }
+
     /// Steps consumed so far.
     pub fn steps_used(&self) -> u64 {
         self.steps.get()
@@ -539,6 +568,46 @@ mod tests {
                 kind: BudgetKind::Steps,
                 limit: 3
             })
+        );
+    }
+
+    #[test]
+    fn shares_continue_the_job_instead_of_restarting_it() {
+        let job = ExecCtx::with_budget(
+            Budget::unlimited()
+                .steps(100)
+                .memory_bytes(64)
+                .deadline(Duration::from_millis(100)),
+        );
+        job.tick(40).unwrap();
+        job.charge(8).unwrap();
+        // One worker picks up the job's counters and limits as they stand.
+        let one = job.share(1);
+        assert_eq!((one.steps_used(), one.memory_used()), (40, 8));
+        one.tick(60).unwrap();
+        assert_eq!(
+            one.tick(1),
+            Err(EngineError::BudgetExceeded {
+                kind: BudgetKind::Steps,
+                limit: 100
+            })
+        );
+        // Four workers split the limits and what is already spent: each
+        // has 25 - 10 = 15 steps left, 60 together.
+        let four = job.share(4);
+        assert_eq!((four.steps_used(), four.memory_used()), (10, 2));
+        four.tick(15).unwrap();
+        assert!(four.tick(1).is_err());
+        // Unlimited stays unlimited.
+        let open = ExecCtx::unbounded();
+        open.tick(5).unwrap();
+        open.share(3).tick(u64::MAX / 2).unwrap();
+        // The deadline is absolute: a share made after it passed is late
+        // from the start, rather than getting a fresh window.
+        std::thread::sleep(Duration::from_millis(110));
+        assert_eq!(
+            job.share(2).check_now(),
+            Err(EngineError::DeadlineExceeded { budget_ms: 100 })
         );
     }
 

@@ -1518,57 +1518,6 @@ mod tests {
     use shapefrag_rdf::vocab::rdf;
     use shapefrag_rdf::{Iri, Literal, Triple};
 
-    /// The set-at-a-time loop the engine runs on one thread: each
-    /// definition's targets decided in one `hasShape(name)` batch over
-    /// `memo`, under `exec`.
-    fn batch<G: GraphAccess>(
-        schema: &Schema,
-        graph: &G,
-        memo: Arc<ConformanceMemo>,
-        exec: ExecCtx,
-    ) -> Result<ValidationReport, EngineError> {
-        let mut ctx = Context::with_memo(schema, graph, memo).with_exec(exec);
-        let mut report = ValidationReport::default();
-        for def in schema.iter() {
-            ctx.exec.check_now()?;
-            let targets: Vec<TermId> = ctx.target_nodes(&def.target).into_iter().collect();
-            let decided = ctx.conforms_all(&targets, &Shape::HasShape(def.name.clone()));
-            if let Some(e) = ctx.take_fault() {
-                return Err(e);
-            }
-            report.checked += targets.len();
-            for (node, ok) in targets.iter().zip(decided) {
-                if !ok {
-                    report.violations.push(Violation {
-                        shape: def.name.clone(),
-                        focus: graph.term(*node).clone(),
-                    });
-                }
-            }
-        }
-        Ok(report)
-    }
-
-    fn validate_batch_with_memo<G: GraphAccess>(
-        schema: &Schema,
-        graph: &G,
-        memo: Arc<ConformanceMemo>,
-    ) -> ValidationReport {
-        batch(schema, graph, memo, ExecCtx::unbounded()).unwrap()
-    }
-
-    fn validate_batch<G: GraphAccess>(schema: &Schema, graph: &G) -> ValidationReport {
-        validate_batch_with_memo(schema, graph, Arc::new(ConformanceMemo::new()))
-    }
-
-    fn validate_batch_governed<G: GraphAccess>(
-        schema: &Schema,
-        graph: &G,
-        exec: ExecCtx,
-    ) -> Result<ValidationReport, EngineError> {
-        batch(schema, graph, Arc::new(ConformanceMemo::new()), exec)
-    }
-
     fn iri(n: &str) -> Iri {
         Iri::new(format!("http://e/{n}"))
     }
@@ -1985,16 +1934,18 @@ mod tests {
         .unwrap();
         let g = Graph::from_triples([t("a", "p", "x"), t("a", "p", "y"), t("x", "type", "C")]);
         let memo = Arc::new(ConformanceMemo::new());
-        let report = validate_batch_with_memo(&schema, &g, Arc::clone(&memo));
+        let mut ctx = Context::with_memo(&schema, &g, Arc::clone(&memo));
+        let a = [g.id_of(&term("a")).unwrap()];
+        assert_eq!(ctx.conforms_all(&a, &Shape::HasShape(term("A"))), [false]);
+        assert_eq!(ctx.conforms_all(&a, &Shape::HasShape(term("B"))), [true]);
         // x and y were each decided once for Typed.
         let sid = schema.name_id(&term("Typed")).unwrap();
         assert_eq!(memo.lookup(sid, g.id_of(&term("x")).unwrap()), Some(true));
         assert_eq!(memo.lookup(sid, g.id_of(&term("y")).unwrap()), Some(false));
-        assert_eq!(report, validate(&schema, &g));
     }
 
     #[test]
-    fn containment_index_derives_bits_and_refuses_foreign_schemas() {
+    fn containment_index_closure_and_foreign_schema_refusal() {
         // A ≥1 q (loose), B ≥2 q (strict, ⊑ A), C duplicates A. Dense ids
         // follow name order: A=0, B=1, C=2.
         let mk = |n: u32| Shape::geq(n, p("q"), Shape::True);
@@ -2023,16 +1974,12 @@ mod tests {
         assert_eq!(index.related_closure(1), vec![0, 1, 2]);
         assert_eq!(index.related_closure(0), vec![0, 1, 2]);
         let memo = Arc::new(ConformanceMemo::new());
+        memo.rebind(&schema, &g);
         assert!(memo.attach_containment(Arc::clone(&index)));
-        let report = validate_batch_with_memo(&schema, &g, Arc::clone(&memo));
-        let (hits, _) = memo.containment_counters();
-        assert!(hits > 0, "expected derived answers, got none");
-        // Bit-identical to the plain sequential driver.
-        assert_eq!(report, validate(&schema, &g));
         // A memo bound to a different schema refuses the index.
         let other = Schema::new([ShapeDef::new(term("Z"), mk(1), target)]).unwrap();
         let memo2 = Arc::new(ConformanceMemo::new());
-        let _ = validate_batch_with_memo(&other, &g, Arc::clone(&memo2));
+        memo2.rebind(&other, &g);
         assert!(!memo2.attach_containment(index));
         assert!(memo2.containment().is_none());
     }
@@ -2050,9 +1997,12 @@ mod tests {
         let g = Graph::from_triples([t("a", "p", "b")]);
         let f = g.freeze();
         let memo = Arc::new(ConformanceMemo::new());
-        let r_mut = validate_batch_with_memo(&schema, &g, Arc::clone(&memo));
-        let r_frozen = validate_batch_with_memo(&schema, &f, Arc::clone(&memo));
-        assert_eq!(r_mut, r_frozen);
+        let a = [g.id_of(&term("a")).unwrap()];
+        let s = Shape::HasShape(term("S"));
+        let on_mut = Context::with_memo(&schema, &g, Arc::clone(&memo)).conforms_all(&a, &s);
+        let on_frozen = Context::with_memo(&schema, &f, Arc::clone(&memo)).conforms_all(&a, &s);
+        assert_eq!(on_mut, [true]);
+        assert_eq!(on_mut, on_frozen);
     }
 
     #[cfg(not(debug_assertions))]
@@ -2067,13 +2017,16 @@ mod tests {
         let g1 = Graph::from_triples([t("a", "p", "b")]);
         let g2 = Graph::from_triples([t("c", "q", "d"), t("c", "q", "e")]);
         let memo = Arc::new(ConformanceMemo::new());
-        let r1 = validate_batch_with_memo(&schema, &g1, Arc::clone(&memo));
-        assert_eq!(r1, validate(&schema, &g1));
+        let s = Shape::HasShape(term("S"));
+        let a = [g1.id_of(&term("a")).unwrap()];
+        let bits = Context::with_memo(&schema, &g1, Arc::clone(&memo)).conforms_all(&a, &s);
+        assert_eq!(bits, [true]);
         let before = memo.len();
         // Mismatched attachment: the run must be correct (unmemoized) and
         // must not write g2 facts into g1's memo.
-        let r2 = validate_batch_with_memo(&schema, &g2, Arc::clone(&memo));
-        assert_eq!(r2, validate(&schema, &g2));
+        let c = [g2.id_of(&term("c")).unwrap()];
+        let bits = Context::with_memo(&schema, &g2, Arc::clone(&memo)).conforms_all(&c, &s);
+        assert_eq!(bits, [false]);
         assert_eq!(memo.len(), before, "detached run must not touch the memo");
     }
 
@@ -2207,8 +2160,22 @@ mod tests {
         let mut delta = DeltaGraph::new(Arc::new(base.freeze()));
         let base_terms = delta.term_count();
         let memo = Arc::new(ConformanceMemo::new());
-        let before = validate_batch_with_memo(&schema, &delta, Arc::clone(&memo));
-        assert_eq!(before.violations.len(), 1, "d violates S");
+        // S's focus nodes and their bits, decided through `memo`.
+        let decide_s = |delta: &DeltaGraph| {
+            let mut ctx = Context::with_memo(&schema, delta, Arc::clone(&memo));
+            let focus: Vec<TermId> = ctx
+                .target_nodes(&schema.get(&term("S")).unwrap().target)
+                .into_iter()
+                .collect();
+            let bits = ctx.conforms_all(&focus, &Shape::HasShape(term("S")));
+            focus.into_iter().zip(bits).collect::<Vec<_>>()
+        };
+        let before = decide_s(&delta);
+        assert_eq!(
+            before.iter().filter(|(_, ok)| !ok).count(),
+            1,
+            "d violates S"
+        );
         // The edit flips d (its successor e gains r) and adds a focus z;
         // `fresh`, `z` and `w` are interned after the memo was bound.
         for triple in [t("e", "r", "fresh"), t("z", "q", "x"), t("z", "p", "w")] {
@@ -2222,9 +2189,16 @@ mod tests {
         memo.invalidate(tid, [id("e")]);
         memo.invalidate(sid, [id("d")]);
         memo.rebind(&schema, &delta);
-        let after = validate_batch_with_memo(&schema, &delta, Arc::clone(&memo));
-        assert_eq!(after, validate(&schema, &delta));
-        assert_eq!(after.violations.len(), 1, "now only z violates S");
+        let after = decide_s(&delta);
+        let violators: Vec<TermId> = after
+            .iter()
+            .filter(|(_, ok)| !ok)
+            .map(|(v, _)| *v)
+            .collect();
+        assert_eq!(violators, [id("z")], "now only z violates S");
+        let expected = validate(&schema, &delta);
+        assert_eq!(expected.violations.len(), 1);
+        assert_eq!(expected.violations[0].focus, term("z"));
         let z = id("z");
         assert!(z.0 as usize >= base_terms, "z was interned after binding");
         assert_eq!(
@@ -2315,38 +2289,6 @@ mod tests {
     }
 
     #[test]
-    fn validate_batch_matches_validate() {
-        let schema = Schema::new([
-            ShapeDef::new(
-                term("S"),
-                Shape::geq(
-                    1,
-                    p("author"),
-                    Shape::geq(1, p("type"), Shape::has_value(term("Student"))),
-                ),
-                Shape::geq(1, p("author"), Shape::True),
-            ),
-            ShapeDef::new(
-                term("T"),
-                Shape::for_all(p("author"), Shape::geq(1, p("type"), Shape::True)),
-                Shape::geq(1, p("author"), Shape::True),
-            ),
-        ])
-        .unwrap();
-        let g = Graph::from_triples([
-            t("p1", "author", "alice"),
-            t("alice", "type", "Student"),
-            t("p2", "author", "bob"),
-            t("p3", "author", "alice"),
-            t("p3", "author", "bob"),
-        ]);
-        let per_node = validate(&schema, &g);
-        let batch = validate_batch(&schema, &g);
-        assert_eq!(per_node, batch);
-        assert_eq!(batch.checked, per_node.checked);
-    }
-
-    #[test]
     fn governed_validation_matches_ungoverned_when_unbounded() {
         let schema = Schema::new([ShapeDef::new(
             term("S"),
@@ -2366,8 +2308,6 @@ mod tests {
         let plain = validate(&schema, &g);
         let gov = validate_governed(&schema, &g, ExecCtx::unbounded()).unwrap();
         assert_eq!(plain, gov);
-        let gov_batch = validate_batch_governed(&schema, &g, ExecCtx::unbounded()).unwrap();
-        assert_eq!(plain, gov_batch);
     }
 
     #[test]
@@ -2382,19 +2322,6 @@ mod tests {
         // A cycle so p* has plenty of product-graph work to charge for.
         let g = Graph::from_triples([t("a", "p", "b"), t("b", "p", "c"), t("c", "p", "a")]);
         let err = validate_governed(
-            &schema,
-            &g,
-            ExecCtx::with_budget(Budget::unlimited().steps(2)),
-        )
-        .unwrap_err();
-        assert!(matches!(
-            err,
-            EngineError::BudgetExceeded {
-                kind: BudgetKind::Steps,
-                ..
-            }
-        ));
-        let err = validate_batch_governed(
             &schema,
             &g,
             ExecCtx::with_budget(Budget::unlimited().steps(2)),

@@ -21,7 +21,7 @@ use shape_fragments::core::{neighborhood_governed, Engine};
 use shape_fragments::govern::{Budget, BudgetKind, CancelToken, EngineError, ExecCtx};
 use shape_fragments::rdf::{ntriples, turtle, GraphAccess};
 use shape_fragments::shacl::parser::parse_shapes_turtle;
-use shape_fragments::shacl::validator::{validate_governed, Context, ValidationReport};
+use shape_fragments::shacl::validator::{validate_governed, Context};
 use shape_fragments::shacl::{Nnf, PathExpr, Schema, Shape, ShapeDef};
 use shape_fragments::sparql::{eval_select_governed, parse_select, EvalConfig};
 use shapefrag_rdf::{Graph, Iri, Term, Triple};
@@ -70,39 +70,9 @@ fn star_walk_shape() -> Shape {
     )
 }
 
-/// One-thread engine validation under `budget` (and `cancel`, if given).
-fn validate_batch_governed<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-    budget: Budget,
-    cancel: Option<&CancelToken>,
-) -> Result<ValidationReport, EngineError> {
-    let mut engine = Engine::new().budget(budget);
-    if let Some(token) = cancel {
-        engine = engine.cancel(token);
-    }
-    engine.validate(schema, graph).map(|(report, _)| report)
-}
-
-/// One-thread engine fragment `Frag(G, S)` under `budget`, materialized.
-fn fragment_governed<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-    shapes: &[Shape],
-    budget: Budget,
-) -> Result<Graph, EngineError> {
-    let (ids, _) = Engine::new()
-        .budget(budget)
-        .fragment(schema, graph, shapes)?;
-    Ok(materialize(graph, &ids))
-}
-
-fn schema_fragment_governed<G: GraphAccess>(
-    schema: &Schema,
-    graph: &G,
-    budget: Budget,
-) -> Result<Graph, EngineError> {
-    fragment_governed(schema, graph, &schema.request_shapes(), budget)
+/// A one-thread engine under `budget`.
+fn governed(budget: Budget) -> Engine {
+    Engine::new().budget(budget)
 }
 
 // ---------------------------------------------------------------------------
@@ -314,12 +284,12 @@ fn step_budget_faults_are_structured_across_the_stack() {
     let tiny_budget = || Budget::unlimited().steps(3);
     let tiny = || ExecCtx::with_budget(tiny_budget());
 
-    match fragment_governed(&schema, &graph, &shapes, tiny_budget()) {
+    match governed(tiny_budget()).fragment(&schema, &graph, &shapes) {
         Err(EngineError::BudgetExceeded {
             kind: BudgetKind::Steps,
             limit,
         }) => assert_eq!(limit, 3),
-        other => panic!("fragment_governed: expected step fault, got {other:?}"),
+        other => panic!("fragment: expected step fault, got {other:?}"),
     }
 
     let named = Schema::new(vec![ShapeDef::new(
@@ -333,11 +303,11 @@ fn step_budget_faults_are_structured_across_the_stack() {
         Err(EngineError::BudgetExceeded { .. })
     ));
     assert!(matches!(
-        validate_batch_governed(&named, &graph, tiny_budget(), None),
+        governed(tiny_budget()).validate(&named, &graph),
         Err(EngineError::BudgetExceeded { .. })
     ));
     assert!(matches!(
-        schema_fragment_governed(&named, &graph, tiny_budget()),
+        governed(tiny_budget()).fragment(&named, &graph, &named.request_shapes()),
         Err(EngineError::BudgetExceeded { .. })
     ));
 
@@ -354,7 +324,7 @@ fn expired_deadline_is_a_structured_error() {
     let graph = generate(&TyroleanConfig::new(200, 0xDEAD));
     let schema = Schema::new(benchmark_shapes()).unwrap();
     let budget = Budget::unlimited().deadline(Duration::ZERO);
-    match validate_batch_governed(&schema, &graph, budget, None) {
+    match governed(budget).validate(&schema, &graph) {
         Err(EngineError::DeadlineExceeded { .. }) => {}
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
@@ -371,7 +341,10 @@ fn cancellation_is_observed_within_50ms() {
     let (tx, rx) = mpsc::channel();
 
     let worker = thread::spawn(move || loop {
-        match validate_batch_governed(&schema, &graph, Budget::unlimited(), Some(&worker_token)) {
+        match Engine::new()
+            .cancel(&worker_token)
+            .validate(&schema, &graph)
+        {
             Ok(_) => {
                 // Keep looping; tell the test thread we are mid-workload.
                 let _ = tx.send(());
@@ -409,12 +382,12 @@ fn frozen_backend_honors_step_budgets() {
     let tiny_budget = || Budget::unlimited().steps(3);
     let tiny = || ExecCtx::with_budget(tiny_budget());
 
-    match fragment_governed(&schema, &frozen, &shapes, tiny_budget()) {
+    match governed(tiny_budget()).fragment(&schema, &frozen, &shapes) {
         Err(EngineError::BudgetExceeded {
             kind: BudgetKind::Steps,
             limit,
         }) => assert_eq!(limit, 3),
-        other => panic!("fragment_governed/frozen: expected step fault, got {other:?}"),
+        other => panic!("fragment/frozen: expected step fault, got {other:?}"),
     }
 
     let named = Schema::new(vec![ShapeDef::new(
@@ -428,11 +401,11 @@ fn frozen_backend_honors_step_budgets() {
         Err(EngineError::BudgetExceeded { .. })
     ));
     assert!(matches!(
-        validate_batch_governed(&named, &frozen, tiny_budget(), None),
+        governed(tiny_budget()).validate(&named, &frozen),
         Err(EngineError::BudgetExceeded { .. })
     ));
     assert!(matches!(
-        schema_fragment_governed(&named, &frozen, tiny_budget()),
+        governed(tiny_budget()).fragment(&named, &frozen, &named.request_shapes()),
         Err(EngineError::BudgetExceeded { .. })
     ));
 
@@ -450,7 +423,7 @@ fn frozen_backend_honors_deadlines() {
     let frozen = generate(&TyroleanConfig::new(200, 0xDEAD)).freeze();
     let schema = Schema::new(benchmark_shapes()).unwrap();
     let budget = Budget::unlimited().deadline(Duration::ZERO);
-    match validate_batch_governed(&schema, &frozen, budget, None) {
+    match governed(budget).validate(&schema, &frozen) {
         Err(EngineError::DeadlineExceeded { .. }) => {}
         other => panic!("expected DeadlineExceeded over frozen, got {other:?}"),
     }
@@ -467,7 +440,10 @@ fn frozen_backend_observes_cancellation() {
     let (tx, rx) = mpsc::channel();
 
     let worker = thread::spawn(move || loop {
-        match validate_batch_governed(&schema, &frozen, Budget::unlimited(), Some(&worker_token)) {
+        match Engine::new()
+            .cancel(&worker_token)
+            .validate(&schema, &frozen)
+        {
             Ok(_) => {
                 let _ = tx.send(());
             }
@@ -487,25 +463,41 @@ fn frozen_backend_observes_cancellation() {
     );
 }
 
-/// An unbounded governed run over the frozen backend reproduces the
-/// ungoverned mutable-backend results exactly.
+/// An unbounded governed engine run over the frozen backend reproduces
+/// the per-node references over the mutable backend exactly.
 #[test]
 fn frozen_governed_agrees_with_mutable_ungoverned() {
-    use shape_fragments::core::{schema_fragment, validate_batch_par};
-
     let graph = generate(&TyroleanConfig::new(150, 0xA7));
-    let frozen = graph.freeze();
+    agrees_with_per_node_references(&graph, &graph.freeze());
+}
+
+/// The engine under an unlimited budget on `engine_graph` gives the
+/// report of per-node `validate` and the fragment of
+/// `fragment_ids_per_node` on `reference_graph`, an id-stable copy.
+fn agrees_with_per_node_references<R: GraphAccess, G: GraphAccess>(
+    reference_graph: &R,
+    engine_graph: &G,
+) {
+    use shape_fragments::core::fragment_ids_per_node;
+    use shape_fragments::shacl::validator::validate;
+
     let schema = Schema::new(benchmark_shapes()).unwrap();
+    let shapes = schema.request_shapes();
+    let engine = governed(Budget::unlimited());
 
-    let plain = validate_batch_par(&schema, &graph, 1);
-    let governed = validate_batch_governed(&schema, &frozen, Budget::unlimited(), None)
+    let (report, _) = engine
+        .validate(&schema, engine_graph)
         .expect("unbounded context cannot fault");
-    assert_eq!(plain, governed);
+    assert_eq!(validate(&schema, reference_graph), report);
 
-    let plain_frag = schema_fragment(&schema, &graph);
-    let governed_frag = schema_fragment_governed(&schema, &frozen, Budget::unlimited())
+    let (ids, _) = engine
+        .fragment(&schema, engine_graph, &shapes)
         .expect("unbounded context cannot fault");
-    assert_eq!(plain_frag, governed_frag);
+    let reference = fragment_ids_per_node(&schema, reference_graph, &shapes);
+    assert_eq!(
+        materialize(reference_graph, &reference),
+        materialize(engine_graph, &ids)
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -588,22 +580,10 @@ fn parallel_engine_unbounded_agrees_with_sequential() {
     }
 }
 
-/// An unbounded context reproduces the ungoverned results exactly, across
-/// validation and fragment extraction.
+/// An unbounded governed engine reproduces the ungoverned per-node
+/// references exactly, across validation and fragment extraction.
 #[test]
 fn governed_and_ungoverned_agree_when_unbounded() {
-    use shape_fragments::core::{schema_fragment, validate_batch_par};
-
     let graph = generate(&TyroleanConfig::new(150, 0xA6));
-    let schema = Schema::new(benchmark_shapes()).unwrap();
-
-    let plain = validate_batch_par(&schema, &graph, 1);
-    let governed = validate_batch_governed(&schema, &graph, Budget::unlimited(), None)
-        .expect("unbounded context cannot fault");
-    assert_eq!(plain, governed);
-
-    let plain_frag = schema_fragment(&schema, &graph);
-    let governed_frag = schema_fragment_governed(&schema, &graph, Budget::unlimited())
-        .expect("unbounded context cannot fault");
-    assert_eq!(plain_frag, governed_frag);
+    agrees_with_per_node_references(&graph, &graph);
 }

@@ -1,6 +1,6 @@
 //! Agreement between the incremental engine and from-scratch validation:
 //! after any random edit script, [`IncrementalValidator`]'s maintained
-//! report must be identical to a one-thread `Engine` run fresh over the
+//! report must be identical to per-node `validate` run fresh over the
 //! post-edit graph — both over the `FrozenGraph + DeltaGraph` overlay it
 //! owns and over a mutable [`Graph`] that replays the same edits (the two
 //! backends intern new terms in the same order, so reports are comparable
@@ -24,18 +24,11 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use common::{graph_strategy, object_term, pred, shape_strategy};
-use shape_fragments::core::validate_batch_par;
 use shape_fragments::core::{EditOp, EditScript, IncrementalValidator};
 use shape_fragments::govern::{Budget, EngineError};
-use shape_fragments::rdf::GraphAccess;
 use shape_fragments::rdf::{Graph, Iri, Term, Triple};
-use shape_fragments::shacl::validator::ValidationReport;
+use shape_fragments::shacl::validator::validate;
 use shape_fragments::shacl::{PathExpr, Schema, Shape, ShapeDef};
-
-/// From-scratch validation on the one-thread engine.
-fn validate_batch<G: GraphAccess>(schema: &Schema, graph: &G) -> ValidationReport {
-    validate_batch_par(schema, graph, 1)
-}
 
 fn shape_name(i: usize) -> Term {
     Term::iri(format!("{}S{i}", common::NS))
@@ -127,15 +120,15 @@ proptest! {
         let schema = Arc::new(schema);
         let mut mutable = g.clone();
         let mut inc = IncrementalValidator::new(Arc::clone(&schema), Arc::new(g.freeze()));
-        prop_assert_eq!(inc.report(), validate_batch(&schema, &mutable));
+        prop_assert_eq!(inc.report(), validate(&schema, &mutable));
 
         for script in &scripts {
             let report = inc.apply(script);
             replay(&mut mutable, script);
             // Same interning order on both backends → reports compare
             // verbatim (term ids and violation order included).
-            prop_assert_eq!(&report, &validate_batch(&schema, inc.graph()));
-            prop_assert_eq!(&report, &validate_batch(&schema, &mutable));
+            prop_assert_eq!(&report, &validate(&schema, inc.graph()));
+            prop_assert_eq!(&report, &validate(&schema, &mutable));
             prop_assert_eq!(&report, &inc.report());
         }
     }
@@ -186,7 +179,7 @@ proptest! {
         let a = seq.apply(&script);
         let b = par.apply_par(&script, threads);
         prop_assert_eq!(&a, &b);
-        prop_assert_eq!(&a, &validate_batch(&schema, par.graph()));
+        prop_assert_eq!(&a, &validate(&schema, par.graph()));
     }
 
     /// Governed incremental application is atomic: a budget fault rolls
@@ -210,7 +203,7 @@ proptest! {
         let budget = Budget::unlimited().steps(steps);
         match inc.apply_par_governed(&script, threads, budget, None) {
             Ok(report) => {
-                prop_assert_eq!(&report, &validate_batch(&schema, inc.graph()));
+                prop_assert_eq!(&report, &validate(&schema, inc.graph()));
             }
             Err(err) => {
                 prop_assert!(matches!(err, EngineError::BudgetExceeded { .. }));
@@ -225,7 +218,7 @@ proptest! {
 
         // The validator must remain correct after either outcome.
         let after = inc.apply(&script);
-        prop_assert_eq!(&after, &validate_batch(&schema, inc.graph()));
+        prop_assert_eq!(&after, &validate(&schema, inc.graph()));
     }
 
     /// Compacting between scripts is invisible: the report is preserved
@@ -243,10 +236,10 @@ proptest! {
         inc.compact();
         prop_assert_eq!(inc.graph().delta_len(), 0);
         prop_assert_eq!(&report, &inc.report());
-        prop_assert_eq!(&report, &validate_batch(&schema, inc.graph()));
+        prop_assert_eq!(&report, &validate(&schema, inc.graph()));
 
         let report = inc.apply(&second);
-        prop_assert_eq!(&report, &validate_batch(&schema, inc.graph()));
+        prop_assert_eq!(&report, &validate(&schema, inc.graph()));
     }
 }
 
@@ -329,7 +322,7 @@ fn stripe_invalidation_covers_containment_closure() {
     // `alt` is readable by Wide only: Narrow and Other route Untouched,
     // so neither gets re-checked and nothing refills their stripes.
     let report = inc.apply(&EditScript::new([EditOp::Add(t("alice", "alt", "x"))]));
-    assert_eq!(report, validate_batch(&schema, inc.graph()));
+    assert_eq!(report, validate(&schema, inc.graph()));
     assert_eq!(report, inc.report());
 
     // Wide was re-evaluated at alice; Narrow's bit fell with it through
@@ -345,6 +338,6 @@ fn stripe_invalidation_covers_containment_closure() {
     // The validator stays exact afterwards, including for edits that
     // re-impact the dropped definition.
     let report = inc.apply(&EditScript::new([EditOp::Remove(t("alice", "name", "n2"))]));
-    assert_eq!(report, validate_batch(&schema, inc.graph()));
+    assert_eq!(report, validate(&schema, inc.graph()));
     assert_eq!(inc.memo().lookup(narrow, alice), Some(false));
 }
